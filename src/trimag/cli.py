@@ -21,6 +21,7 @@ from . import figures
 from .core import eigenvalues_on_manifold, locate_ep3
 from .params import DriveParams, SymmetricParams, ValidationError, mhz, to_mhz
 from .sensing import (
+    RESOLVABLE_DB,
     BranchTrackingError,
     Perturbation,
     detectable_b_min,
@@ -64,11 +65,17 @@ def _merge_config(path: str | None, overrides: dict) -> dict:
             user = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"config file {path}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ValidationError(f"config file {path}: top level must be "
+                                  f"a JSON object")
         for section, content in user.items():
-            if isinstance(content, dict) and isinstance(config.get(section), dict):
+            if not isinstance(config.get(section), dict):
+                config[section] = content
+            elif isinstance(content, dict):
                 config[section].update(content)
             else:
-                config[section] = content
+                raise ValidationError(f"config: {section} must be a JSON "
+                                      f"object, got {content!r}")
     for key, value in overrides.items():
         if value is None:
             continue
@@ -224,7 +231,8 @@ def _sweep_rows(config: dict) -> tuple[list[str], list[list[float]]]:
         gep3 = g_ep3_factor(sym.g, mhz(b))
         gcpa = g_cpa_factor(floor_db, dip.dip_value_db, shift)
         gsyn = synthetic_sensitivity(gcpa, gep3)
-        rows.append([b, shift, gep3, gcpa, gsyn, detectable_b_min(1e-13, gsyn)])
+        rows.append([b, shift, gep3, gcpa, gsyn,
+                     detectable_b_min(RESOLVABLE_DB, gsyn)])
     return header, rows
 
 

@@ -20,6 +20,13 @@ import numpy as np
 # primitive cube root of unity
 _W = complex(-0.5, math.sqrt(3.0) / 2.0)
 
+# factors of u and of v in the three roots u + v, W*u + W'*v, W'*u + W*v
+_U_FACTORS = np.array([1.0, _W, _W.conjugate()])
+_V_FACTORS = _U_FACTORS.conj()
+
+# the six orderings of three roots, one per row
+_PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
+
 #: residual bound for a polished root, scaled by the coefficient magnitude
 RESIDUAL_TOL = 1e-9
 
@@ -106,6 +113,51 @@ def cardano_roots(coeffs: CubicCoeffs) -> ComplexTriple:
     return ComplexTriple(*polished)
 
 
+def cardano_roots_batch(c0, c1) -> np.ndarray:
+    """Roots of x**3 + c1*x + c0 = 0 for arrays of coefficients, shape (n, 3).
+
+    The same closed form as :func:`cardano_roots` — the larger-magnitude
+    radical through the principal cube root, its partner through
+    v = -c1/(3u) — and the same guarded Newton polish, evaluated with
+    array masks.  Rows with c0 = c1 = 0 are zeros.  Row j agrees with
+    ``cardano_roots(CubicCoeffs(c0[j], c1[j]))`` to rounding, not bitwise.
+    """
+    c0 = np.asarray(c0, dtype=complex).reshape(-1, 1)
+    c1 = np.asarray(c1, dtype=complex).reshape(-1, 1)
+    zero = (c0 == 0) & (c1 == 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.sqrt(c0 * c0 / 4.0 + c1 * c1 * c1 / 27.0)
+        z_plus = -c0 / 2.0 + disc
+        z_minus = -c0 / 2.0 - disc
+        z = np.where(np.abs(z_plus) >= np.abs(z_minus), z_plus, z_minus)
+        z[zero] = 1.0  # placeholder; these rows are reset to zero below
+        # principal cube root in polar form, as Python's complex power takes it
+        phase = np.arctan2(z.imag, z.real) * (1.0 / 3.0)
+        u = np.hypot(z.real, z.imag) ** (1.0 / 3.0) * (np.cos(phase)
+                                                       + 1j * np.sin(phase))
+        v = -c1 / (3.0 * u)
+        roots = u * _U_FACTORS + v * _V_FACTORS
+
+        # the guarded Newton polish of _newton_polish for all roots at once:
+        # a zero residual or a zero derivative gives no smaller |f|, so the
+        # one test value < best also covers the scalar loop's early exits
+        f = roots * roots * roots + c1 * roots + c0
+        best = np.abs(f)
+        active = np.ones(roots.shape, dtype=bool)
+        for _ in range(4):
+            candidate = roots - f / (3.0 * roots * roots + c1)
+            f_candidate = candidate * candidate * candidate + c1 * candidate + c0
+            value = np.abs(f_candidate)
+            active &= value < best
+            if not active.any():
+                break
+            roots = np.where(active, candidate, roots)
+            f = np.where(active, f_candidate, f)
+            best = np.where(active, value, best)
+    roots[zero[:, 0]] = 0.0
+    return roots
+
+
 def companion_roots(coeffs: CubicCoeffs) -> ComplexTriple:
     """Independent oracle: eigenvalues of the companion matrix."""
     c = np.array(
@@ -122,12 +174,8 @@ def max_residual(triple: ComplexTriple, coeffs: CubicCoeffs) -> float:
 
 def multiset_distance(a: ComplexTriple, b: ComplexTriple) -> float:
     """Smallest max-elementwise distance over all pairings of two triples."""
-    av, bv = a.as_array(), b.as_array()
-    best = math.inf
-    for perm in itertools.permutations(range(3)):
-        d = float(np.max(np.abs(av[list(perm)] - bv)))
-        best = min(best, d)
-    return best
+    distances = np.abs(a.as_array()[_PERMUTATIONS] - b.as_array())
+    return float(np.min(np.max(distances, axis=1)))
 
 
 def ep2_discriminant(coeffs: CubicCoeffs) -> complex:
@@ -138,13 +186,10 @@ def ep2_discriminant(coeffs: CubicCoeffs) -> complex:
 def match_to_previous(roots: np.ndarray, previous: np.ndarray) -> np.ndarray:
     """Reorder three roots to continue three tracked branches.
 
-    Minimal-total-distance assignment over the six permutations; used for
+    Minimal-total-distance assignment over the six permutations, costed
+    in one array operation (the first minimum wins a tie); used for
     nearest-neighbor continuation of eigenvalue surfaces across parameter
     sweeps.
     """
-    best_perm, best_cost = None, math.inf
-    for perm in itertools.permutations(range(3)):
-        cost = float(np.sum(np.abs(roots[list(perm)] - previous)))
-        if cost < best_cost:
-            best_cost, best_perm = cost, perm
-    return roots[list(best_perm)]
+    costs = np.sum(np.abs(roots[_PERMUTATIONS] - previous), axis=1)
+    return roots[_PERMUTATIONS[np.argmin(costs)]]

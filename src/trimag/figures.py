@@ -19,8 +19,7 @@ from .core import cubic_coeffs, eigenvalues_on_manifold, locate_ep3
 from .cubic import cardano_roots, match_to_previous
 from .params import SymmetricParams, mhz, to_mhz
 from .sensing import (
-    Perturbation,
-    exact_eigenshift,
+    eigenshift_sweep,
     fit_loglog_slope,
     g_cpa_factor,
     g_ep3_factor,
@@ -153,11 +152,8 @@ def response_sweep(gamma_mhz: float, g_mhz: float,
     """(delta_b_mhz, |delta_omega|_mhz) rows from the exact cubic."""
     gamma = mhz(gamma_mhz)
     sym = SymmetricParams.manifold_point(gamma, mhz(g_mhz))
-    out = []
-    for b in np.geomspace(window_mhz[0], window_mhz[1], points):
-        shift = exact_eigenshift(sym, Perturbation(mhz(b)))
-        out.append([b, abs(shift)])
-    return np.asarray(out)
+    bs = np.geomspace(window_mhz[0], window_mhz[1], points)
+    return np.column_stack([bs, np.abs(eigenshift_sweep(sym, mhz(bs)))])
 
 
 def generate_fig3c(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
@@ -190,23 +186,17 @@ def generate_fig3d(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
     return [p]
 
 
-def _dip_and_shift(sym: SymmetricParams, b_mhz: float,
-                   floor_db: float) -> tuple[float, float, float]:
-    dip = spectrum_dip(sym, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), mhz(b_mhz),
-                       floor_db=floor_db)
-    shift = exact_eigenshift(sym, Perturbation(mhz(b_mhz)))
-    return dip.dip_location, dip.dip_value_db, shift
-
-
 def generate_fig3f(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
                    floor_db: float = EXPERIMENTAL_FLOOR_DB) -> list[Path]:
     """Spectral-contrast factor versus eigenvalue shift."""
     point = locate_ep3(mhz(gamma_mhz))
     sym = SymmetricParams(gamma=mhz(gamma_mhz), g=point.g_ep3,
                           delta=point.delta_ep3)
+    grid = np.geomspace(5e-3, 0.05, 13)
     rows = []
-    for b in np.geomspace(5e-3, 0.05, 13):
-        _, dip_db, shift = _dip_and_shift(sym, b, floor_db)
+    for b, shift in zip(grid, eigenshift_sweep(sym, mhz(grid))):
+        dip_db = spectrum_dip(sym, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), mhz(b),
+                              floor_db=floor_db).dip_value_db
         rows.append([b, shift, dip_db, g_cpa_factor(floor_db, dip_db, shift)])
     p = outdir / "fig3f_gcpa.csv"
     _write_csv(p, "delta_b_mhz,delta_omega_mhz,dip_db,g_cpa_db_per_mhz", rows)
@@ -221,8 +211,9 @@ def generate_fig4(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
                           delta=point.delta_ep3)
     grid = np.unique(np.append(np.geomspace(1e-3, 0.05, 17), 0.025))
     rows = []
-    for b in grid:
-        _, dip_db, shift = _dip_and_shift(sym, b, floor_db)
+    for b, shift in zip(grid, eigenshift_sweep(sym, mhz(grid))):
+        dip_db = spectrum_dip(sym, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), mhz(b),
+                              floor_db=floor_db).dip_value_db
         gep3 = g_ep3_factor(point.g_ep3, mhz(b))
         gcpa = g_cpa_factor(floor_db, dip_db, shift)
         rows.append([b, gep3, gcpa, synthetic_sensitivity(gcpa, gep3)])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import locate_ep3, symmetric_hamiltonian
-from .cubic import CubicCoeffs, cardano_roots
+from .cubic import CubicCoeffs, cardano_roots, cardano_roots_batch
 from .params import (
     DEFAULT_TOL,
     SymmetricParams,
@@ -77,20 +77,21 @@ def perturbed_hamiltonian(sym: SymmetricParams, pert: Perturbation,
     return h
 
 
-def _depressed_cubic(sym: SymmetricParams, delta_b: float) -> CubicCoeffs:
+def _depressed_cubic(sym: SymmetricParams, delta_b) -> CubicCoeffs:
     """Characteristic cubic of the perturbed matrix, trace part removed.
 
     Expanding det(H' - lambda I) in w = lambda - delta_b gives
     w^3 + b*w^2 + [(4*gamma^2 - 3*g^2) + 2i*gamma*b]*w - g^2*b; the
     substitution w = x - b/3 (i.e. x = lambda - 2b/3, the trace-centered
-    variable) removes the quadratic term.
+    variable) removes the quadratic term.  delta_b may be an array, and
+    then c0 and c1 are arrays of the same shape.
     """
     g2 = sym.g * sym.g
     gam = sym.gamma
     b = delta_b
     # cubic in w = lambda - delta_b:  w^3 + b w^2 + [(4gam^2-3g^2)+2i gam b] w - g^2 b
-    p_w = complex(4.0 * gam * gam - 3.0 * g2, 2.0 * gam * b)
-    q_w = complex(-g2 * b, 0.0)
+    p_w = 4.0 * gam * gam - 3.0 * g2 + 1j * (2.0 * gam * b)
+    q_w = -g2 * b + 0j
     # depress w = x - b/3
     c1 = p_w - b * b / 3.0
     c0 = q_w - b * p_w / 3.0 + 2.0 * b ** 3 / 27.0
@@ -110,22 +111,44 @@ def _select_central(roots, previous: complex, gamma: float,
     return min(in_radius, key=lambda r: abs(r - previous))
 
 
+def _track(sym: SymmetricParams, delta_bs: np.ndarray, x: complex = 0j,
+           fresh: bool = True) -> list[complex]:
+    """Continue the central branch from x through delta_bs, in order.
+
+    The cubics of all steps are solved in one batched call; the branch
+    rule of _select_central then runs over the rows.  Returns the batch
+    root picked at each step: it names the branch, and _closed_form gives
+    its value.
+    """
+    coeffs = _depressed_cubic(sym, delta_bs)
+    tracked = []
+    for roots in cardano_roots_batch(coeffs.c0, coeffs.c1).tolist():
+        x = _select_central(roots, x, sym.gamma, fresh)
+        fresh = False
+        tracked.append(x)
+    return tracked
+
+
+def _closed_form(sym: SymmetricParams, delta_b: float, x: complex) -> complex:
+    """Root of the scalar closed form at delta_b nearest the tracked x."""
+    roots = cardano_roots(_depressed_cubic(sym, delta_b))
+    return min(roots, key=lambda r: abs(r - x))
+
+
 def central_branch(sym: SymmetricParams, delta_b: float,
                    steps: int = RAMP_STEPS) -> complex:
     """Central eigenvalue branch at delta_b, continued from zero.
 
-    The perturbation is ramped from 0 to delta_b and the branch is tracked
-    by nearest-neighbor continuation in the trace-centered frame.
+    The perturbation is ramped from 0 to delta_b in `steps` steps and the
+    branch is tracked by nearest-neighbor continuation in the
+    trace-centered frame.  The batch picks the branch, the scalar gives
+    the value: the ramp is solved in one batched call, and the result is
+    the root of the scalar closed form at delta_b nearest the tracked one.
     """
     if delta_b == 0.0:
         return 0j
-    x = 0j
-    fresh = True
-    for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
-        roots = cardano_roots(_depressed_cubic(sym, delta_b * t))
-        x = _select_central(tuple(roots), x, sym.gamma, fresh)
-        fresh = False
-    return x
+    ramp = delta_b * np.linspace(0.0, 1.0, steps + 1)[1:]
+    return _closed_form(sym, ramp[-1], _track(sym, ramp)[-1])
 
 
 def exact_eigenshift(sym: SymmetricParams, pert: Perturbation,
@@ -145,27 +168,31 @@ def eigenshift_sweep(sym: SymmetricParams, delta_bs,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
     """Central-branch shifts (MHz) along an increasing |delta_b| ramp.
 
-    Continuation runs sequentially along the sweep axis so the branch is
-    never re-seeded; delta_bs is in rad/us.
+    Continuation runs along the sweep axis so the branch is never
+    re-seeded, except after a step larger than 0.2*gamma or one that
+    crosses zero, where the point is ramped from zero by central_branch.
+    The batch picks the branch, the scalar gives the value: each run of
+    points is solved in one batched call, and each shift is the root of
+    the scalar closed form nearest the tracked one, so it equals
+    exact_eigenshift at that point wherever both follow the same branch.
+    delta_bs is in rad/us; zeros give zero shift.
     """
     sym.require_manifold(tol)
-    out = np.empty(len(delta_bs), dtype=float)
-    x = 0j
-    fresh = True
-    prev = 0.0
-    for i, b in enumerate(delta_bs):
-        if b == 0.0:
-            out[i] = 0.0
-            continue
-        if abs(b - prev) > 0.2 * sym.gamma or b * prev < 0:
-            # large or sign-crossing step: re-ramp from scratch
-            x = central_branch(sym, b)
-        else:
-            roots = cardano_roots(_depressed_cubic(sym, b))
-            x = _select_central(tuple(roots), x, sym.gamma, fresh)
-        fresh = False
-        prev = b
-        out[i] = to_mhz(x.real)
+    bs = np.asarray(delta_bs, dtype=float)
+    out = np.zeros(bs.size)
+    nonzero = np.flatnonzero(bs)
+    b = bs[nonzero]
+    prev = np.concatenate(([0.0], b[:-1]))
+    reseed = (np.abs(b - prev) > 0.2 * sym.gamma) | (b * prev < 0)
+    starts = np.flatnonzero(reseed | (np.arange(b.size) == 0))
+    for lo, hi in zip(starts, [*starts[1:], b.size]):
+        x, fresh = 0j, True
+        if reseed[lo]:
+            x, fresh = central_branch(sym, b[lo]), False
+            out[nonzero[lo]] = to_mhz(x.real)
+            lo += 1
+        for i, tracked in enumerate(_track(sym, b[lo:hi], x, fresh), lo):
+            out[nonzero[i]] = to_mhz(_closed_form(sym, b[i], tracked).real)
     return out
 
 

@@ -142,6 +142,14 @@ class TestSweepCommand:
         bad.write_text("{not json")
         assert run_cli(["sweep", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("payload", [{"system": 5}, [1, 2]],
+                             ids=["section_not_object", "top_level_list"])
+    def test_malformed_config_exits_two(self, tmp_path, capsys, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert run_cli(["sweep", "--config", str(bad)]) == 2
+        assert "error: config" in capsys.readouterr().err
+
 
 class TestReproduceGoldens:
     @pytest.mark.parametrize("figure", sorted(FIGURE_FILES))

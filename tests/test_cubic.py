@@ -1,11 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimag.cubic import (
+    RESIDUAL_TOL,
+    ComplexTriple,
     CubicCoeffs,
     cardano_roots,
+    cardano_roots_batch,
     companion_roots,
     ep2_discriminant,
+    match_to_previous,
     max_residual,
     multiset_distance,
 )
@@ -76,6 +84,59 @@ def test_ep2_discriminant_detects_double_root():
 def test_multiset_distance_handles_permutation():
     a = cardano_roots(CubicCoeffs(1.0 + 1j, -2.0 + 0j))
     b_arr = a.as_array()[[2, 0, 1]]
-    from trimag.cubic import ComplexTriple
     b = ComplexTriple(*b_arr)
     assert multiset_distance(a, b) == 0.0
+
+
+# coefficient parts bounded away from underflow: c1**3 stays a normal float
+PART = st.one_of(st.just(0.0), st.floats(1e-3, 10.0), st.floats(-10.0, -1e-3))
+COEFFICIENT = st.builds(complex, PART, PART)
+RANDOM_CUBIC = st.tuples(COEFFICIENT, COEFFICIENT)
+# x**3 + s*c1*x + s*c0 with s in [1e-12, 1e-6]: all three roots near zero
+NEAR_TRIPLE_CUBIC = st.builds(
+    lambda c0, c1, k: (c0 * 10.0 ** k, c1 * 10.0 ** k),
+    COEFFICIENT, COEFFICIENT, st.floats(-12.0, -6.0))
+
+
+def min_separation(triple: ComplexTriple) -> float:
+    return min(abs(a - b) for a, b in itertools.combinations(triple, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(RANDOM_CUBIC, NEAR_TRIPLE_CUBIC),
+                min_size=1, max_size=12))
+def test_batch_matches_scalar_and_oracle(rows):
+    c0, c1 = np.array(rows, dtype=complex).T
+    batch = cardano_roots_batch(c0, c1)
+    assert batch.shape == (len(rows), 3)
+    for (a0, a1), got in zip(rows, batch):
+        coeffs = CubicCoeffs(a0, a1)
+        scale = coeffs.scale()
+        triple = ComplexTriple(*got)
+        scalar = cardano_roots(coeffs)
+        assert np.max(np.abs(got - scalar.as_array())) <= 1e-12 * scale
+        assert max_residual(triple, coeffs) <= RESIDUAL_TOL * scale ** 3
+        # the companion eigensolve loses half the digits at a double root
+        # (Kahan 1986), so the oracle is held to 1e-9 where roots separate
+        if min_separation(scalar) > 1e-4 * scale:
+            assert multiset_distance(triple, companion_roots(coeffs)) <= 1e-9
+
+
+def test_batch_zero_rows_and_empty_input():
+    roots = cardano_roots_batch([0j, 2j, 0j], [0j, 3.0 + 0j, 0j])
+    assert np.all(roots[[0, 2]] == 0)
+    assert multiset_distance(ComplexTriple(*roots[1]),
+                             ComplexTriple(2j, -1j, -1j)) <= 1e-12
+    assert cardano_roots_batch([], []).shape == (0, 3)
+
+
+def test_match_to_previous_minimises_total_distance():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        previous = rng.normal(size=3) + 1j * rng.normal(size=3)
+        roots = rng.normal(size=3) + 1j * rng.normal(size=3)
+        costs = {perm: float(np.sum(np.abs(roots[list(perm)] - previous)))
+                 for perm in itertools.permutations(range(3))}
+        best = min(costs, key=costs.get)
+        assert np.array_equal(match_to_previous(roots, previous),
+                              roots[list(best)])

@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimag.core import locate_ep3, symmetric_hamiltonian
+from trimag.cubic import CubicCoeffs, cardano_roots
 from trimag.params import SymmetricParams, ValidationError, mhz, to_mhz
 from trimag.sensing import (
+    RAMP_STEPS,
+    BranchTrackingError,
     Perturbation,
     SensitivityReport,
+    _select_central,
+    central_branch,
     cube_root_response,
     delta_b_of_shift,
     detectable_b_min,
@@ -29,6 +36,36 @@ GAMMA = mhz(3.0)
 def ep3_sym(gamma=GAMMA):
     point = locate_ep3(gamma)
     return SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
+
+
+def scalar_ramp_branch(sym, delta_b, steps=RAMP_STEPS):
+    """Reference: one scalar closed-form solve per ramp step.
+
+    The continuation as it was before the batched kernel, with the
+    perturbed cubic written out independently of the package.
+    """
+    if delta_b == 0.0:
+        return 0j
+    g2, gam = sym.g * sym.g, sym.gamma
+    x, fresh = 0j, True
+    for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
+        b = delta_b * t
+        p_w = complex(4.0 * gam * gam - 3.0 * g2, 2.0 * gam * b)
+        q_w = complex(-g2 * b, 0.0)
+        coeffs = CubicCoeffs(c0=q_w - b * p_w / 3.0 + 2.0 * b ** 3 / 27.0,
+                             c1=p_w - b * b / 3.0)
+        x = _select_central(tuple(cardano_roots(coeffs)), x, gam, fresh)
+        fresh = False
+    return x
+
+
+# delta_b of fig3c, fig3f and fig4, in MHz
+FIGURE_GRIDS = {
+    "fig3c": np.geomspace(1e-4, 1e-2, 50),
+    "fig3f": np.geomspace(5e-3, 0.05, 13),
+    "fig4": np.unique(np.append(np.geomspace(1e-3, 0.05, 17), 0.025)),
+    "geomspace12": np.geomspace(1e-3, 0.04, 12),
+}
 
 
 class TestPerturbedHamiltonian:
@@ -92,12 +129,31 @@ class TestExactEigenshift:
         # increments shrink like the cube-root law, never jump branch-scale
         assert np.max(np.abs(diffs)) <= 0.2
 
-    def test_sweep_matches_single_calls(self):
-        sym = ep3_sym()
-        bs = mhz(np.geomspace(1e-3, 0.04, 12))
+    @pytest.mark.parametrize("g_mhz", [None, 4.59], ids=["g_ep3", "g4.59"])
+    @pytest.mark.parametrize("grid", sorted(FIGURE_GRIDS))
+    def test_sweep_matches_single_calls(self, grid, g_mhz):
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        bs = mhz(FIGURE_GRIDS[grid])
         swept = eigenshift_sweep(sym, bs)
         singles = [exact_eigenshift(sym, Perturbation(b)) for b in bs]
-        assert np.allclose(swept, singles, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(swept, singles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g_mhz=st.floats(3.0, 8.0),
+           log_b=st.floats(-5.0, 2.5),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_central_branch_equals_scalar_ramp(self, g_mhz, log_b, sign):
+        # up to 300 MHz, so branch losses are drawn as well
+        sym = SymmetricParams.manifold_point(GAMMA, mhz(g_mhz))
+        delta_b = sign * mhz(10.0 ** log_b)
+        try:
+            expected = scalar_ramp_branch(sym, delta_b)
+        except BranchTrackingError:
+            with pytest.raises(BranchTrackingError):
+                central_branch(sym, delta_b)
+        else:
+            assert central_branch(sym, delta_b) == expected
 
     def test_linear_scaling_away_from_degeneracy(self):
         sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
