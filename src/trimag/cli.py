@@ -3,7 +3,7 @@
 Subcommands: ep3, reproduce, sweep, spectrum, report.  All flag and file
 values are ordinary frequencies in MHz (plus dB and tesla); the angular
 internals never leak.  Exit codes: 0 success, 2 validation error,
-3 numerical failure (pole or lost branch).
+3 numerical failure (pole, lost branch or a dip clamped at the floor).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import figures
-from .core import eigenvalues_on_manifold, locate_ep3
+from .core import locate_ep3
 from .params import DriveParams, SymmetricParams, ValidationError, mhz, to_mhz
 from .sensing import (
     RESOLVABLE_DB,
@@ -34,6 +34,7 @@ from .sensing import (
 from .spectrum import (
     DEFAULT_FLOOR_DB,
     FlatTraceError,
+    FloorClampError,
     ScatteringPoleError,
     cpa_drive,
     default_grid,
@@ -87,19 +88,23 @@ def _merge_config(path: str | None, overrides: dict) -> dict:
     return config
 
 
+def _convert(raw, name: str, kind=float):
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config: {name}={raw!r} is not "
+                              f"a valid {kind.__name__}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"config: {name} must be finite")
+    return value
+
+
 def _require(config: dict, section: str, key: str, kind=float):
     try:
         raw = config[section][key]
     except KeyError as exc:
         raise ValidationError(f"config: missing {section}.{key}") from exc
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config: {section}.{key}={raw!r} is not "
-                              f"a valid {kind.__name__}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"config: {section}.{key} must be finite")
-    return value
+    return _convert(raw, f"{section}.{key}", kind)
 
 
 def _symmetric_from_config(config: dict) -> SymmetricParams:
@@ -108,7 +113,8 @@ def _symmetric_from_config(config: dict) -> SymmetricParams:
     delta_raw = config.get("system", {}).get("delta_mhz")
     if delta_raw is None:
         return SymmetricParams.manifold_point(mhz(gamma), mhz(g))
-    return SymmetricParams(gamma=mhz(gamma), g=mhz(g), delta=mhz(float(delta_raw)))
+    delta = _convert(delta_raw, "system.delta_mhz")
+    return SymmetricParams(gamma=mhz(gamma), g=mhz(g), delta=mhz(delta))
 
 
 def _drive_from_spec(spec, params) -> DriveParams:
@@ -172,7 +178,7 @@ def _sweep_axis_values(config: dict) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _sweep_rows(config: dict) -> tuple[list[str], list[list[float]]]:
+def _sweep_rows(config: dict) -> tuple[list[str], np.ndarray | list]:
     axis = _require(config, "sweep", "axis", str)
     if axis not in AXES:
         raise ValidationError(f"config: sweep.axis must be one of {AXES}")
@@ -180,9 +186,8 @@ def _sweep_rows(config: dict) -> tuple[list[str], list[list[float]]]:
     if quantity not in QUANTITIES:
         raise ValidationError(f"config: quantity must be one of {QUANTITIES}")
     gamma_mhz = _require(config, "system", "gamma_mhz")
-    gamma = mhz(gamma_mhz)
     values = _sweep_axis_values(config)
-    floor_db = float(config.get("floor_db", DEFAULT_FLOOR_DB))
+    floor_db = _convert(config.get("floor_db", DEFAULT_FLOOR_DB), "floor_db")
     kappa1 = mhz(_require(config, "system", "kappa1_mhz"))
     kappa2 = mhz(_require(config, "system", "kappa2_mhz"))
 
@@ -191,20 +196,9 @@ def _sweep_rows(config: dict) -> tuple[list[str], list[list[float]]]:
             raise ValidationError("eigenvalue sweeps use axis 'g' or 'delta'")
         header = [axis + "_mhz", "re0_mhz", "im0_mhz", "re_plus_mhz",
                   "im_plus_mhz", "re_minus_mhz", "im_minus_mhz"]
-        rows = []
-        for v in values:
-            if axis == "g":
-                if mhz(v) < gamma:
-                    rows.append([v] + [math.nan] * 6)
-                    continue
-                sym = SymmetricParams.manifold_point(gamma, mhz(v))
-            else:
-                g = math.sqrt(mhz(v) ** 2 + gamma ** 2)
-                sym = SymmetricParams(gamma=gamma, g=g, delta=mhz(v))
-            ev = eigenvalues_on_manifold(sym).as_array()
-            rows.append([v] + [to_mhz(x)
-                               for pair in ev for x in (pair.real, pair.imag)])
-        return header, rows
+        # drop the column of the other manifold parameter
+        return header, np.delete(figures.manifold_rows(gamma_mhz, axis, values),
+                                 1, axis=1)
 
     if axis != "delta_b":
         raise ValidationError(f"quantity {quantity!r} sweeps axis 'delta_b'")
@@ -255,12 +249,14 @@ def cmd_sweep(args) -> int:
     header, rows = _sweep_rows(config)
     fmt = str(config.get("output", {}).get("format", "csv"))
     path = config.get("output", {}).get("path")
+    if path is not None and not isinstance(path, str):
+        raise ValidationError(f"config: output.path must be a string, "
+                              f"got {path!r}")
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(figures._fmt(v) for v in row) for row in rows]
-        _emit(path, "\n".join(lines) + "\n")
+        _emit(path, figures.csv_text(",".join(header), rows))
     elif fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
+        payload = [dict(zip(header, row))
+                   for row in np.asarray(rows, dtype=float).tolist()]
         _emit(path, json.dumps(payload, indent=2) + "\n")
     else:
         raise ValidationError(f"output.format must be csv or json, got {fmt!r}")
@@ -371,8 +367,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScatteringPoleError, FlatTraceError, BranchTrackingError,
-            ZeroDivisionError) as exc:
+    except (ScatteringPoleError, FlatTraceError, FloorClampError,
+            BranchTrackingError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

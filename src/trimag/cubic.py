@@ -62,6 +62,11 @@ class ComplexTriple:
         return iter((self.omega0, self.omega1, self.omega2))
 
 
+def _ldexp(z, k):
+    """z * 2**k for complex scalars or arrays, exact unless it leaves the range."""
+    return np.ldexp(np.real(z), k) + 1j * np.ldexp(np.imag(z), k)
+
+
 def _residual(x: complex, coeffs: CubicCoeffs) -> complex:
     return x * x * x + coeffs.c1 * x + coeffs.c0
 
@@ -69,18 +74,21 @@ def _residual(x: complex, coeffs: CubicCoeffs) -> complex:
 def _newton_polish(x: complex, coeffs: CubicCoeffs, iterations: int = 4) -> complex:
     # accept a step only if it reduces |f|: at (near-)multiple roots the
     # residual is rounding-noise dominated and a raw step can wander O(1)
-    best = abs(_residual(x, coeffs))
+    c0, c1 = coeffs.c0, coeffs.c1
+    f = x * x * x + c1 * x + c0  # _residual, inlined: this is the hot loop
+    best = abs(f)
     for _ in range(iterations):
         if best == 0.0:
             break
-        fp = 3.0 * x * x + coeffs.c1
+        fp = 3.0 * x * x + c1
         if fp == 0:
             break
-        candidate = x - _residual(x, coeffs) / fp
-        value = abs(_residual(candidate, coeffs))
+        candidate = x - f / fp
+        f_candidate = candidate * candidate * candidate + c1 * candidate + c0
+        value = abs(f_candidate)
         if value >= best:
             break
-        x, best = candidate, value
+        x, f, best = candidate, f_candidate, value
     return x
 
 
@@ -101,8 +109,14 @@ def cardano_roots(coeffs: CubicCoeffs) -> ComplexTriple:
     disc = cmath.sqrt(c0 * c0 / 4.0 + c1 * c1 * c1 / 27.0)
     z_plus = -c0 / 2.0 + disc
     z_minus = -c0 / 2.0 - disc
-    # both radicals vanish only when c0 = c1 = 0, handled above
     z = z_plus if abs(z_plus) >= abs(z_minus) else z_minus
+    if z == 0:
+        # both radicals vanish with c1 != 0 only when c1**3/27 underflows
+        # (and c0/2 with it): solve for y = x/2**k with |c1/4**k| ~ 1
+        k = math.frexp(abs(c1))[1] // 2
+        scaled = cardano_roots(CubicCoeffs(complex(_ldexp(c0, -3 * k)),
+                                           complex(_ldexp(c1, -2 * k))))
+        return ComplexTriple(*(complex(_ldexp(y, k)) for y in scaled))
     u = z ** (1.0 / 3.0)
     v = -c1 / (3.0 * u)
     roots = (u + v,
@@ -119,7 +133,9 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
     The same closed form as :func:`cardano_roots` — the larger-magnitude
     radical through the principal cube root, its partner through
     v = -c1/(3u) — and the same guarded Newton polish, evaluated with
-    array masks.  Rows with c0 = c1 = 0 are zeros.  Row j agrees with
+    array masks.  Rows with c0 = c1 = 0 are zeros; rows whose radicals
+    both vanish although c1 != 0 are rescaled by a power of two, as in
+    cardano_roots.  Row j agrees with
     ``cardano_roots(CubicCoeffs(c0[j], c1[j]))`` to rounding, not bitwise.
     """
     c0 = np.asarray(c0, dtype=complex).reshape(-1, 1)
@@ -130,7 +146,9 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
         z_plus = -c0 / 2.0 + disc
         z_minus = -c0 / 2.0 - disc
         z = np.where(np.abs(z_plus) >= np.abs(z_minus), z_plus, z_minus)
-        z[zero] = 1.0  # placeholder; these rows are reset to zero below
+        radicals_vanish = z == 0
+        vanish = radicals_vanish[:, 0] & ~zero[:, 0]
+        z[radicals_vanish] = 1.0  # placeholder; these rows are replaced below
         # principal cube root in polar form, as Python's complex power takes it
         phase = np.arctan2(z.imag, z.real) * (1.0 / 3.0)
         u = np.hypot(z.real, z.imag) ** (1.0 / 3.0) * (np.cos(phase)
@@ -155,6 +173,11 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
             f = np.where(active, f_candidate, f)
             best = np.where(active, value, best)
     roots[zero[:, 0]] = 0.0
+    if vanish.any():
+        k = np.frexp(np.abs(c1[vanish, 0]))[1] // 2
+        scaled = cardano_roots_batch(_ldexp(c0[vanish, 0], -3 * k),
+                                     _ldexp(c1[vanish, 0], -2 * k))
+        roots[vanish] = _ldexp(scaled, k[:, None])
     return roots
 
 
@@ -189,7 +212,10 @@ def match_to_previous(roots: np.ndarray, previous: np.ndarray) -> np.ndarray:
     Minimal-total-distance assignment over the six permutations, costed
     in one array operation (the first minimum wins a tie); used for
     nearest-neighbor continuation of eigenvalue surfaces across parameter
-    sweeps.
+    sweeps.  roots and previous may also be stacked rows of shape (n, 3),
+    each row matched to its own previous row.
     """
-    costs = np.sum(np.abs(roots[_PERMUTATIONS] - previous), axis=1)
-    return roots[_PERMUTATIONS[np.argmin(costs)]]
+    costs = np.sum(np.abs(roots[..., _PERMUTATIONS] - previous[..., None, :]),
+                   axis=-1)
+    return np.take_along_axis(roots, _PERMUTATIONS[np.argmin(costs, axis=-1)],
+                              axis=-1)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
-from .core import cubic_coeffs, eigenvalues_on_manifold, locate_ep3
+from .core import cubic_coeffs, locate_ep3
 from .cubic import cardano_roots, match_to_previous
-from .params import SymmetricParams, mhz, to_mhz
+from .params import DEFAULT_TOL, SymmetricParams, ValidationError, mhz, to_mhz
 from .sensing import (
     eigenshift_sweep,
     fit_loglog_slope,
@@ -34,46 +33,104 @@ KAPPA2_MHZ = 4.0
 FIGURES = ("fig2", "fig3c", "fig3d", "fig3f", "fig4")
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.12g}"
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line of %.12g values per row of the table."""
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[Iterable[float]]) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text(csv_text(header, rows))
 
 
-def _symmetric_eigenvalues(gamma, g, delta) -> np.ndarray:
-    sym = SymmetricParams(gamma=gamma, g=g, delta=delta)
-    return cardano_roots(cubic_coeffs(sym)).as_array()
+def eigenvalue_surfaces(gamma: float, g_grid, d_grid) -> np.ndarray:
+    """Eigenvalues (rad/us) over (delta, g), shape (len(d_grid), len(g_grid), 3).
 
-
-def ep2_locus_g(gamma_mhz: float, delta_mhz: float) -> list[float]:
-    """Couplings g (MHz) where two eigenvalues merge, at fixed detuning.
-
-    27*c0^2 + 4*c1^3 = 0 is cubic in t = g^2; real positive roots are
-    returned sorted ascending.  The equation is scale-invariant, so it is
-    solved directly in MHz units.
+    Each point is solved by the scalar closed form.  At the first g the
+    three roots are sorted by (real, imag); after that the branches are
+    continued along g, all delta rows together, one g column at a time.
     """
+    ev = np.array([[tuple(cardano_roots(cubic_coeffs(
+        SymmetricParams(gamma=gamma, g=g, delta=d)))) for g in mhz(g_grid)]
+        for d in mhz(d_grid)])
+    first = ev[:, 0]
+    ev[:, 0] = np.take_along_axis(first, np.lexsort((first.imag, first.real)),
+                                  axis=-1)
+    for j in range(1, ev.shape[1]):
+        ev[:, j] = match_to_previous(ev[:, j], ev[:, j - 1])
+    return ev
+
+
+def ep2_locus_g(gamma_mhz: float, delta_mhz) -> np.ndarray:
+    """Couplings g (MHz) where two eigenvalues merge, at each detuning.
+
+    27*c0^2 + 4*c1^3 = 0 is cubic in t = g^2; the cubics of all detunings
+    are solved in one companion-matrix eigensolve, built as np.roots
+    builds it.  Row j holds the g of the real positive roots of
+    delta_mhz[j], ascending, padded with NaN to three.  The equation is
+    scale-invariant, so it is solved directly in MHz units.
+    """
+    d = np.atleast_1d(np.asarray(delta_mhz, dtype=float))
     gam2 = gamma_mhz * gamma_mhz
-    u = 3.0 * gam2 - delta_mhz * delta_mhz
-    v = delta_mhz * delta_mhz + gam2
-    coeffs = [
-        -32.0,
+    u = 3.0 * gam2 - d * d
+    v = d * d + gam2
+    lead = -32.0
+    tail = np.column_stack([
         48.0 * u - 108.0 * gam2,
         -24.0 * u * u + 216.0 * gam2 * v,
         4.0 * u ** 3 - 108.0 * gam2 * v * v,
-    ]
-    roots = np.roots(coeffs)
-    out = []
-    for t in roots:
-        if abs(t.imag) <= 1e-9 * max(1.0, abs(t)) and t.real > 0:
-            out.append(math.sqrt(t.real))
-    return sorted(out)
+    ])
+    companion = np.zeros((d.size, 3, 3))
+    companion[:, 0] = -tail / lead
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    # np.roots drops a vanishing constant term and appends the root t = 0,
+    # which the t > 0 filter below discards; those rows solve the quadratic
+    quadratic = tail[:, 2] == 0
+    t = np.zeros((d.size, 3), dtype=complex)
+    t[~quadratic] = np.linalg.eigvals(companion[~quadratic])
+    t[quadratic, :2] = np.linalg.eigvals(companion[quadratic, :2, :2])
+    real = (np.abs(t.imag) <= 1e-9 * np.maximum(1.0, np.abs(t))) & (t.real > 0)
+    return np.sort(np.sqrt(np.where(real, t.real, np.nan)), axis=-1)
+
+
+def manifold_rows(gamma_mhz: float, axis: str, values_mhz) -> np.ndarray:
+    """Manifold eigenvalue rows along g or delta, all in MHz.
+
+    Columns: the axis value, the other parameter on the manifold
+    g^2 = delta^2 + gamma^2, then Re/Im of the eigenvalues {0, +s, -s},
+    s = sqrt(3g^2 - 4gamma^2) (see core.eigenvalues_on_manifold).  Along
+    g, rows with g < gamma have no manifold point and hold NaN after the
+    first column.
+    """
+    gamma = mhz(gamma_mhz)
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValidationError(f"gamma must be > 0, got {gamma_mhz!r} MHz")
+    values_mhz = np.asarray(values_mhz, dtype=float)
+    x = mhz(values_mhz)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if axis == "g":
+            g, delta = x, np.sqrt(x * x - gamma * gamma)
+            valid = x >= gamma
+        else:  # gamma ** 2 as the per-point cut had it (pow, not gamma * gamma)
+            g, delta = np.sqrt(x * x + gamma ** 2), x
+            valid = np.ones(x.shape, dtype=bool)
+        scale = np.maximum(g * g, delta * delta + gamma * gamma)
+        defect = np.abs(g * g - delta * delta - gamma * gamma)
+    if np.any(valid & ~(defect <= DEFAULT_TOL * np.maximum(scale, 1e-30))):
+        raise ValidationError("parameters are off the pseudo-Hermitian manifold")
+    radicand = 3.0 * g * g - 4.0 * gamma * gamma
+    s = np.sqrt(np.abs(radicand))
+    s_re = np.where(radicand >= 0.0, s, 0.0)
+    s_im = np.where(radicand >= 0.0, 0.0, s)
+    zero = np.zeros_like(s)
+    table = np.column_stack([
+        values_mhz,
+        to_mhz(delta if axis == "g" else g),
+        to_mhz(np.column_stack([zero, zero, s_re, s_im, -s_re, -s_im])),
+    ])
+    table[~valid, 1:] = math.nan
+    return table
 
 
 def generate_fig2(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
@@ -84,33 +141,22 @@ def generate_fig2(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
     # surfaces over (g, delta); branches continued along g at fixed delta
     g_grid = np.linspace(0.0, 8.0, 33)
     d_grid = np.linspace(-5.0, 5.0, 41)
-    rows = []
-    for d in d_grid:
-        prev = None
-        for g in g_grid:
-            ev = _symmetric_eigenvalues(gamma, mhz(g), mhz(d))
-            if prev is None:
-                ev = ev[np.lexsort((ev.imag, ev.real))]
-            else:
-                ev = match_to_previous(ev, prev)
-            prev = ev
-            rows.append([g, d,
-                         to_mhz(ev[0].real), to_mhz(ev[0].imag),
-                         to_mhz(ev[1].real), to_mhz(ev[1].imag),
-                         to_mhz(ev[2].real), to_mhz(ev[2].imag)])
+    ev = to_mhz(eigenvalue_surfaces(gamma, g_grid, d_grid).reshape(-1, 3))
+    rows = np.column_stack([np.tile(g_grid, d_grid.size),
+                            np.repeat(d_grid, g_grid.size),
+                            ev.view(float)])
     p = outdir / "fig2_surfaces.csv"
     _write_csv(p, "g_mhz,delta_mhz,re0_mhz,im0_mhz,re1_mhz,im1_mhz,re2_mhz,im2_mhz",
                rows)
     paths.append(p)
 
     # second-order degeneracy lines
-    rows = []
-    for d in np.linspace(-5.0, 5.0, 201):
-        for branch, g in enumerate(ep2_locus_g(gamma_mhz, d)):
-            if g <= 8.0:
-                rows.append([d, g, branch])
+    d_grid = np.linspace(-5.0, 5.0, 201)
+    g = ep2_locus_g(gamma_mhz, d_grid)
+    row, branch = np.nonzero(g <= 8.0)
     p = outdir / "fig2_ep2_lines.csv"
-    _write_csv(p, "delta_mhz,g_mhz,branch", rows)
+    _write_csv(p, "delta_mhz,g_mhz,branch",
+               np.column_stack([d_grid[row], g[row, branch], branch]))
     paths.append(p)
 
     # third-order degeneracy annotation
@@ -120,29 +166,17 @@ def generate_fig2(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
                [[gamma_mhz, to_mhz(point.g_ep3), to_mhz(point.delta_ep3)]])
     paths.append(p)
 
+    columns = "re0_mhz,im0_mhz,re_plus_mhz,im_plus_mhz,re_minus_mhz,im_minus_mhz"
     # manifold cut versus g (delta = sqrt(g^2 - gamma^2))
-    rows = []
-    for g in np.linspace(gamma_mhz, 8.0, 201):
-        sym = SymmetricParams.manifold_point(gamma, mhz(g))
-        ev = eigenvalues_on_manifold(sym).as_array()
-        rows.append([g, to_mhz(sym.delta)]
-                    + [to_mhz(x) for pair in ev for x in (pair.real, pair.imag)])
     p = outdir / "fig2_manifold_vs_g.csv"
-    _write_csv(p, "g_mhz,delta_mhz,re0_mhz,im0_mhz,re_plus_mhz,im_plus_mhz,"
-                  "re_minus_mhz,im_minus_mhz", rows)
+    _write_csv(p, "g_mhz,delta_mhz," + columns,
+               manifold_rows(gamma_mhz, "g", np.linspace(gamma_mhz, 8.0, 201)))
     paths.append(p)
 
     # manifold cut versus delta (g = sqrt(delta^2 + gamma^2))
-    rows = []
-    for d in np.linspace(-5.0, 5.0, 201):
-        g = math.sqrt(mhz(d) ** 2 + gamma ** 2)
-        sym = SymmetricParams(gamma=gamma, g=g, delta=mhz(d))
-        ev = eigenvalues_on_manifold(sym).as_array()
-        rows.append([d, to_mhz(g)]
-                    + [to_mhz(x) for pair in ev for x in (pair.real, pair.imag)])
     p = outdir / "fig2_manifold_vs_delta.csv"
-    _write_csv(p, "delta_mhz,g_mhz,re0_mhz,im0_mhz,re_plus_mhz,im_plus_mhz,"
-                  "re_minus_mhz,im_minus_mhz", rows)
+    _write_csv(p, "delta_mhz,g_mhz," + columns,
+               manifold_rows(gamma_mhz, "delta", np.linspace(-5.0, 5.0, 201)))
     paths.append(p)
     return paths
 

@@ -34,10 +34,12 @@ from .params import (
 )
 from .spectrum import (
     EXPERIMENTAL_FLOOR_DB,
+    FloorClampError,
     cpa_drive,
     default_grid,
     find_dip,
     perturbed_system,
+    to_db,
     total_output,
     total_output_spectrum,
 )
@@ -387,6 +389,10 @@ def sensitivity_report(delta_b_mhz: float,
         grid_mhz = default_grid()
     trace = total_output_spectrum(params, drive, grid_mhz, floor_db)
     dip = find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))
+    if dip.dip_value_db <= to_db(0.0, floor_db):
+        raise FloorClampError(
+            f"perturbed dip at delta_b = {delta_b_mhz:g} MHz is clamped at "
+            f"the {floor_db:g} dB floor: its contrast is not resolved")
 
     gcpa = g_cpa_factor(floor_db, dip.dip_value_db, delta_omega_mhz)
     gsyn = synthetic_sensitivity(gcpa, gep3)

@@ -54,6 +54,15 @@ class FlatTraceError(ValueError):
     """A trace has no strict interior minimum to refine."""
 
 
+class FloorClampError(ArithmeticError):
+    """A dip sits on the dB floor, so its depth is not resolved."""
+
+
+def _any(mask) -> bool:
+    """np.any, without its dispatch cost on the 0-d values of a scalar probe."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
 def _lorentzians(params: SystemParams, omega: float | np.ndarray):
     d1 = omega - params.delta1
     d2 = omega - params.delta2
@@ -70,7 +79,7 @@ def mn_functions(params: SystemParams, omega: float | np.ndarray):
     genuine pole and is rejected.
     """
     d1, d2, l1, l2 = _lorentzians(params, omega)
-    if np.any(l1 == 0) or np.any(l2 == 0):
+    if _any(l1 == 0) or _any(l2 == 0):
         raise ScatteringPoleError(
             "undamped magnon probed on resonance (zero Lorentzian width)")
     g1sq = params.g1 * params.g1
@@ -101,7 +110,7 @@ def _denominator(params: SystemParams, omega):
     den = m + 1j * n
     scale = max(params.kappa1 + params.kappa2 + params.kappa_int,
                 params.gamma1, params.gamma2, 1e-30)
-    if np.any(np.abs(den) < POLE_TOL * scale):
+    if _any(abs(den) < POLE_TOL * scale):
         raise ScatteringPoleError("scattering pole: |m + i n| ~ 0")
     return m, n, den
 

@@ -63,6 +63,10 @@ class TestReportCommand:
     def test_nonpositive_perturbation(self, capsys):
         assert run_cli(["report", "--delta-b-mhz", "-1"]) == 2
 
+    def test_floor_clamped_dip_exits_three(self, capsys):
+        assert run_cli(["report", "--delta-b-mhz", "1e-9"]) == 3
+        assert "-91.5 dB floor" in capsys.readouterr().err
+
     def test_branch_loss_exits_three(self, capsys):
         # a perturbation far beyond gamma breaks continuation tracking
         assert run_cli(["report", "--delta-b-mhz", "100"]) == 3
@@ -142,8 +146,16 @@ class TestSweepCommand:
         bad.write_text("{not json")
         assert run_cli(["sweep", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("payload", [{"system": 5}, [1, 2]],
-                             ids=["section_not_object", "top_level_list"])
+    @pytest.mark.parametrize("payload", [
+        {"system": 5},
+        [1, 2],
+        {"floor_db": "x"},
+        {"system": {"delta_mhz": "abc"}, "quantity": "dip",
+         "sweep": {"axis": "delta_b", "start_mhz": 0.01, "stop_mhz": 0.02,
+                   "points": 2}},
+        {"output": {"path": 5}},
+    ], ids=["section_not_object", "top_level_list", "floor_db_not_float",
+            "delta_mhz_not_float", "output_path_not_string"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -98,12 +99,19 @@ NEAR_TRIPLE_CUBIC = st.builds(
     COEFFICIENT, COEFFICIENT, st.floats(-12.0, -6.0))
 
 
+# parts down to 1e-300, where c0**2/4 and c1**3/27 underflow: with c0 = 0
+# both radicals vanish although c1 != 0
+TINY_CUBIC = st.builds(
+    lambda c0, c1, k: (c0 * 10.0 ** k, c1 * 10.0 ** k),
+    COEFFICIENT, COEFFICIENT, st.floats(-300.0, -100.0))
+
+
 def min_separation(triple: ComplexTriple) -> float:
     return min(abs(a - b) for a, b in itertools.combinations(triple, 2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(RANDOM_CUBIC, NEAR_TRIPLE_CUBIC),
+@given(st.lists(st.one_of(RANDOM_CUBIC, NEAR_TRIPLE_CUBIC, TINY_CUBIC),
                 min_size=1, max_size=12))
 def test_batch_matches_scalar_and_oracle(rows):
     c0, c1 = np.array(rows, dtype=complex).T
@@ -140,3 +148,41 @@ def test_match_to_previous_minimises_total_distance():
         best = min(costs, key=costs.get)
         assert np.array_equal(match_to_previous(roots, previous),
                               roots[list(best)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(COEFFICIENT.filter(lambda c: c != 0), st.integers(-500, -181),
+       st.sampled_from([0.0, 5e-324]))
+def test_vanishing_radicals_scale_back(c1, k, c0):
+    # x**3 + c1*4**k*x + c0: c1**3/27 and c0/2 underflow, so both radicals
+    # vanish; the roots are 2**k times those of the cubic scaled back
+    tiny = CubicCoeffs(complex(c0), c1 * 4.0 ** k)
+    unscaled = CubicCoeffs(complex(math.ldexp(c0, -3 * k)), c1)
+    reference = cardano_roots(unscaled).as_array() * 2.0 ** k
+    tol = 1e-12 * unscaled.scale() * 2.0 ** k
+    for got in (cardano_roots(tiny).as_array(),
+                cardano_roots_batch([tiny.c0], [tiny.c1])[0]):
+        assert np.all(np.isfinite(got))
+        assert multiset_distance(ComplexTriple(*got),
+                                 ComplexTriple(*reference)) <= tol
+
+
+def test_vanishing_radicals_example():
+    # x**3 + 1e-120*x = 0 has roots 0 and +-1e-60 i
+    expected = ComplexTriple(0j, 1e-60j, -1e-60j)
+    for got in (cardano_roots(CubicCoeffs(0j, 1e-120 + 0j)).as_array(),
+                cardano_roots_batch([0j], [1e-120 + 0j])[0]):
+        assert multiset_distance(ComplexTriple(*got), expected) <= 1e-72
+
+
+def test_stacked_match_equals_per_row_calls():
+    rng = np.random.default_rng(8)
+    # small integer parts make equal-cost permutations (ties) common
+    roots = rng.integers(-2, 3, (500, 3)) + 1j * rng.integers(-2, 3, (500, 3))
+    previous = rng.integers(-2, 3, (500, 3)) + 1j * rng.integers(-2, 3, (500, 3))
+    # the single-row form: the first minimum over the permutations wins
+    perms = np.array(list(itertools.permutations(range(3))))
+    expected = np.array([
+        r[perms[np.argmin(np.sum(np.abs(r[perms] - p), axis=1))]]
+        for r, p in zip(roots, previous)])
+    assert np.array_equal(match_to_previous(roots, previous), expected)

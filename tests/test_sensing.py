@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from trimag.core import locate_ep3, symmetric_hamiltonian
 from trimag.cubic import CubicCoeffs, cardano_roots
 from trimag.params import SymmetricParams, ValidationError, mhz, to_mhz
+from trimag.spectrum import FloorClampError
 from trimag.sensing import (
     RAMP_STEPS,
     BranchTrackingError,
@@ -364,3 +365,10 @@ class TestSensitivityReport:
     def test_rejects_nonpositive_perturbation(self):
         with pytest.raises(ValidationError):
             sensitivity_report(0.0)
+
+    @pytest.mark.parametrize("delta_b_mhz", [1e-9, 1e-4, 2e-3])
+    def test_floor_clamped_dip_is_a_numerical_limit(self, delta_b_mhz):
+        # the perturbed dip sits on the floor: its contrast is not resolved,
+        # which is a limit of the floor, not an invalid input
+        with pytest.raises(FloorClampError, match="-91.5 dB floor"):
+            sensitivity_report(delta_b_mhz, floor_db=-91.5)

@@ -104,6 +104,28 @@ class TestResponseFunctions:
             mn_functions(params, mhz(1.0))
 
 
+# (params, probe) at a zero-width Lorentzian and where m + i n vanishes
+POLES = {
+    "zero_width": (SystemParams(kappa1=K1, kappa2=K2, kappa_int=KINT,
+                                gamma1=0.0, gamma2=GAMMA, g1=mhz(3), g2=mhz(3),
+                                delta1=mhz(1.0), delta2=mhz(-1.0)), mhz(1.0)),
+    "vanishing_denominator": (SystemParams(kappa1=0.0, kappa2=0.0, kappa_int=0.0,
+                                           gamma1=GAMMA, gamma2=GAMMA, g1=0.0,
+                                           g2=0.0, delta1=mhz(1.0),
+                                           delta2=mhz(-1.0)), 0.0),
+}
+
+
+@pytest.mark.parametrize("pole", sorted(POLES))
+@pytest.mark.parametrize("probe", [float, np.float64,
+                                   lambda om: np.array([om - 1.0, om, om + 1.0])],
+                         ids=["float", "float64", "array"])
+def test_pole_raised_for_scalar_and_array_probes(pole, probe):
+    params, omega = POLES[pole]
+    with pytest.raises(ScatteringPoleError):
+        total_output(params, DriveParams(p=1.0), probe(omega))
+
+
 class TestScatteringCoeffs:
     def test_decoupled_values(self):
         params = SystemParams(kappa1=K1, kappa2=K2, kappa_int=KINT,
