@@ -21,6 +21,7 @@ from .cubic import (
 from .params import DriveParams, SymmetricParams, SystemParams, mhz, to_mhz
 from .sensing import (
     Perturbation,
+    SensitivityChain,
     SensitivityReport,
     SlopeFit,
     cube_root_response,

@@ -20,19 +20,10 @@ import numpy as np
 from . import figures
 from .core import locate_ep3
 from .params import DriveParams, SymmetricParams, ValidationError, mhz, to_mhz
-from .sensing import (
-    RESOLVABLE_DB,
-    BranchTrackingError,
-    Perturbation,
-    detectable_b_min,
-    exact_eigenshift,
-    g_cpa_factor,
-    g_ep3_factor,
-    sensitivity_report,
-    synthetic_sensitivity,
-)
+from .sensing import BranchTrackingError, SensitivityChain, sensitivity_report
 from .spectrum import (
     DEFAULT_FLOOR_DB,
+    EXPERIMENTAL_FLOOR_DB,
     FlatTraceError,
     FloorClampError,
     ScatteringPoleError,
@@ -40,7 +31,6 @@ from .spectrum import (
     default_grid,
     find_dip,
     perturbed_system,
-    spectrum_dip,
     total_output,
     total_output_spectrum,
     trace_to_csv,
@@ -178,7 +168,7 @@ def _sweep_axis_values(config: dict) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _sweep_rows(config: dict) -> tuple[list[str], np.ndarray | list]:
+def _sweep_rows(config: dict) -> tuple[list[str], np.ndarray]:
     axis = _require(config, "sweep", "axis", str)
     if axis not in AXES:
         raise ValidationError(f"config: sweep.axis must be one of {AXES}")
@@ -205,29 +195,20 @@ def _sweep_rows(config: dict) -> tuple[list[str], np.ndarray | list]:
     sym = _symmetric_from_config(config)
     sym.require_manifold()
 
+    chain = SensitivityChain(sym, values, kappa1, kappa2, floor_db)
     if quantity == "dip":
         header = ["delta_b_mhz", "dip_mhz", "dip_db", "delta_omega_mhz"]
-        rows = []
-        for b in values:
-            dip = spectrum_dip(sym, kappa1, kappa2, mhz(b), floor_db=floor_db)
-            shift = exact_eigenshift(sym, Perturbation(mhz(b)))
-            rows.append([b, dip.dip_location, dip.dip_value_db, shift])
-        return header, rows
+        return header, np.column_stack([
+            values, [dip.dip_location for dip in chain.dips], chain.dip_db,
+            chain.delta_omega])
 
+    if values[0] <= 0:
+        raise ValidationError("sensitivity sweep requires delta_b > 0")
     header = ["delta_b_mhz", "delta_omega_mhz", "g_ep3", "g_cpa_db_per_mhz",
               "g_syn_db_per_mhz", "delta_b_min_tesla"]
-    rows = []
-    for b in values:
-        if b <= 0:
-            raise ValidationError("sensitivity sweep requires delta_b > 0")
-        dip = spectrum_dip(sym, kappa1, kappa2, mhz(b), floor_db=floor_db)
-        shift = exact_eigenshift(sym, Perturbation(mhz(b)))
-        gep3 = g_ep3_factor(sym.g, mhz(b))
-        gcpa = g_cpa_factor(floor_db, dip.dip_value_db, shift)
-        gsyn = synthetic_sensitivity(gcpa, gep3)
-        rows.append([b, shift, gep3, gcpa, gsyn,
-                     detectable_b_min(RESOLVABLE_DB, gsyn)])
-    return header, rows
+    b_min = chain.delta_b_min()
+    return header, np.column_stack([values, chain.delta_omega, chain.g_ep3,
+                                    chain.g_cpa, chain.g_syn, b_min])
 
 
 def cmd_sweep(args) -> int:
@@ -352,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="sensitivity factors at the degeneracy")
     p.add_argument("--delta-b-mhz", type=float, required=True)
-    p.add_argument("--floor-db", type=float, default=-91.5)
+    p.add_argument("--floor-db", type=float, default=EXPERIMENTAL_FLOOR_DB)
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

@@ -144,13 +144,6 @@ def eigenvectors_on_manifold(sym: SymmetricParams,
     return EigentripleWithVectors(values=values, vectors=vectors)
 
 
-def eigen_residual(sym: SymmetricParams, value: complex, vector: np.ndarray) -> float:
-    """|| (H - value*I) vector || / ||H||, the defect of an eigenpair."""
-    h = symmetric_hamiltonian(sym)
-    defect = np.linalg.norm((h - value * np.eye(3)) @ vector)
-    return float(defect / max(np.linalg.norm(h), 1e-300))
-
-
 def locate_ep3(gamma: float, verify: bool = True) -> Ep3Point:
     """Third-order degeneracy (2*gamma/sqrt(3), gamma/sqrt(3)) for gamma > 0.
 

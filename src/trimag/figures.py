@@ -17,14 +17,8 @@ import numpy as np
 from .core import cubic_coeffs, locate_ep3
 from .cubic import cardano_roots, match_to_previous
 from .params import DEFAULT_TOL, SymmetricParams, ValidationError, mhz, to_mhz
-from .sensing import (
-    eigenshift_sweep,
-    fit_loglog_slope,
-    g_cpa_factor,
-    g_ep3_factor,
-    synthetic_sensitivity,
-)
-from .spectrum import EXPERIMENTAL_FLOOR_DB, spectrum_dip
+from .sensing import SensitivityChain, eigenshift_sweep, fit_loglog_slope
+from .spectrum import EXPERIMENTAL_FLOOR_DB
 
 GAMMA_MHZ = 3.0
 KAPPA1_MHZ = 4.0
@@ -209,50 +203,45 @@ def generate_fig3c(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
     return [p1, p2]
 
 
+def _chain(gamma_mhz: float, delta_b_mhz,
+           floor_db: float = EXPERIMENTAL_FLOOR_DB) -> SensitivityChain:
+    return SensitivityChain.at_ep3(mhz(gamma_mhz), delta_b_mhz, mhz(KAPPA1_MHZ),
+                                   mhz(KAPPA2_MHZ), floor_db)
+
+
 def generate_fig3d(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
     """Degeneracy sensitivity factor versus perturbation."""
-    point = locate_ep3(mhz(gamma_mhz))
-    rows = []
-    for b in np.geomspace(1e-4, 0.05, 100):
-        rows.append([b, g_ep3_factor(point.g_ep3, mhz(b))])
+    chain = _chain(gamma_mhz, np.geomspace(1e-4, 0.05, 100))
     p = outdir / "fig3d_gep3.csv"
-    _write_csv(p, "delta_b_mhz,g_ep3", rows)
+    _write_csv(p, "delta_b_mhz,g_ep3", np.column_stack([chain.delta_b,
+                                                         chain.g_ep3]))
     return [p]
 
 
 def generate_fig3f(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
                    floor_db: float = EXPERIMENTAL_FLOOR_DB) -> list[Path]:
     """Spectral-contrast factor versus eigenvalue shift."""
-    point = locate_ep3(mhz(gamma_mhz))
-    sym = SymmetricParams(gamma=mhz(gamma_mhz), g=point.g_ep3,
-                          delta=point.delta_ep3)
-    grid = np.geomspace(5e-3, 0.05, 13)
-    rows = []
-    for b, shift in zip(grid, eigenshift_sweep(sym, mhz(grid))):
-        dip_db = spectrum_dip(sym, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), mhz(b),
-                              floor_db=floor_db).dip_value_db
-        rows.append([b, shift, dip_db, g_cpa_factor(floor_db, dip_db, shift)])
+    chain = _chain(gamma_mhz, np.geomspace(5e-3, 0.05, 13), floor_db)
     p = outdir / "fig3f_gcpa.csv"
-    _write_csv(p, "delta_b_mhz,delta_omega_mhz,dip_db,g_cpa_db_per_mhz", rows)
+    _write_csv(p, "delta_b_mhz,delta_omega_mhz,dip_db,g_cpa_db_per_mhz",
+               np.column_stack([chain.delta_b, chain.delta_omega,
+                                chain.dip_db, chain.g_cpa]))
     return [p]
 
 
 def generate_fig4(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
                   floor_db: float = EXPERIMENTAL_FLOOR_DB) -> list[Path]:
-    """The three sensitivity factors versus perturbation."""
-    point = locate_ep3(mhz(gamma_mhz))
-    sym = SymmetricParams(gamma=mhz(gamma_mhz), g=point.g_ep3,
-                          delta=point.delta_ep3)
+    """The three sensitivity factors versus perturbation.
+
+    The smallest perturbations leave the dip on the floor; their rows
+    keep the floor's contrast, 0, rather than fail.
+    """
     grid = np.unique(np.append(np.geomspace(1e-3, 0.05, 17), 0.025))
-    rows = []
-    for b, shift in zip(grid, eigenshift_sweep(sym, mhz(grid))):
-        dip_db = spectrum_dip(sym, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), mhz(b),
-                              floor_db=floor_db).dip_value_db
-        gep3 = g_ep3_factor(point.g_ep3, mhz(b))
-        gcpa = g_cpa_factor(floor_db, dip_db, shift)
-        rows.append([b, gep3, gcpa, synthetic_sensitivity(gcpa, gep3)])
+    chain = _chain(gamma_mhz, grid, floor_db)
     p = outdir / "fig4_factors.csv"
-    _write_csv(p, "delta_b_mhz,g_ep3,g_cpa_db_per_mhz,g_syn_db_per_mhz", rows)
+    _write_csv(p, "delta_b_mhz,g_ep3,g_cpa_db_per_mhz,g_syn_db_per_mhz",
+               np.column_stack([chain.delta_b, chain.g_ep3, chain.g_cpa,
+                                chain.g_syn]))
     return [p]
 
 

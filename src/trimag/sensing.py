@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +35,10 @@ from .params import (
 )
 from .spectrum import (
     EXPERIMENTAL_FLOOR_DB,
+    DipReport,
     FloorClampError,
-    cpa_drive,
-    default_grid,
-    find_dip,
-    perturbed_system,
+    spectrum_dip,
     to_db,
-    total_output,
-    total_output_spectrum,
 )
 
 #: continuation trust radius for branch tracking, in units of gamma
@@ -122,6 +119,8 @@ def _track(sym: SymmetricParams, delta_bs: np.ndarray, x: complex = 0j,
     root picked at each step: it names the branch, and _closed_form gives
     its value.
     """
+    if not delta_bs.size:
+        return []
     coeffs = _depressed_cubic(sym, delta_bs)
     tracked = []
     for roots in cardano_roots_batch(coeffs.c0, coeffs.c1).tolist():
@@ -168,33 +167,37 @@ def exact_eigenshift(sym: SymmetricParams, pert: Perturbation,
 
 def eigenshift_sweep(sym: SymmetricParams, delta_bs,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Central-branch shifts (MHz) along an increasing |delta_b| ramp.
+    """Central-branch shifts (MHz) along a delta_b axis.
 
-    Continuation runs along the sweep axis so the branch is never
-    re-seeded, except after a step larger than 0.2*gamma or one that
-    crosses zero, where the point is ramped from zero by central_branch.
-    The batch picks the branch, the scalar gives the value: each run of
-    points is solved in one batched call, and each shift is the root of
-    the scalar closed form nearest the tracked one, so it equals
-    exact_eigenshift at that point wherever both follow the same branch.
-    delta_bs is in rad/us; zeros give zero shift.
+    Continuation runs along the sweep axis.  The branch is ramped from
+    zero by central_branch at the first point and again after a step
+    larger than 0.2*gamma, one that crosses zero or one that more than
+    doubles or halves |delta_b|: near zero the branches crowd together,
+    and only the ramp from zero tells them apart.  The batch picks the
+    branch, the scalar gives the value: each run of points is solved in
+    one batched call, and each shift is the root of the scalar closed
+    form nearest the tracked one, so it equals exact_eigenshift at that
+    point wherever both follow the same branch.  delta_bs is in rad/us;
+    zeros give zero shift.
     """
     sym.require_manifold(tol)
     bs = np.asarray(delta_bs, dtype=float)
     out = np.zeros(bs.size)
-    nonzero = np.flatnonzero(bs)
-    b = bs[nonzero]
-    prev = np.concatenate(([0.0], b[:-1]))
-    reseed = (np.abs(b - prev) > 0.2 * sym.gamma) | (b * prev < 0)
-    starts = np.flatnonzero(reseed | (np.arange(b.size) == 0))
-    for lo, hi in zip(starts, [*starts[1:], b.size]):
-        x, fresh = 0j, True
-        if reseed[lo]:
-            x, fresh = central_branch(sym, b[lo]), False
-            out[nonzero[lo]] = to_mhz(x.real)
-            lo += 1
-        for i, tracked in enumerate(_track(sym, b[lo:hi], x, fresh), lo):
-            out[nonzero[i]] = to_mhz(_closed_form(sym, b[i], tracked).real)
+    runs, prev = [], 0.0
+    for i, b in enumerate(bs.tolist()):
+        if b == 0.0:
+            continue
+        # prev = 0 makes the first point a re-seed
+        if (abs(b - prev) > 0.2 * sym.gamma or b * prev < 0
+                or abs(b) > 2.0 * abs(prev) or abs(prev) > 2.0 * abs(b)):
+            runs.append([])
+        runs[-1].append(i)
+        prev = b
+    for first, *rest in runs:
+        x = central_branch(sym, bs[first])
+        out[first] = to_mhz(x.real)
+        for i, tracked in zip(rest, _track(sym, bs[rest], x, False)):
+            out[i] = to_mhz(_closed_form(sym, bs[i], tracked).real)
     return out
 
 
@@ -353,6 +356,101 @@ class SensitivityReport:
         }, indent=2)
 
 
+@dataclass(frozen=True, eq=False)
+class SensitivityChain:
+    """The sensing chain over an axis of field changes delta_b (MHz).
+
+    delta_b -> trace-centred shift of the central branch (one
+    eigenshift_sweep) -> refined dip of the perturbed absorption spectrum
+    (one spectrum_dip per point) -> g_ep3, g_cpa, g_syn -> the detectable
+    field change.  Each column is computed when first read, so a reader
+    pays only for what it reads.  The shift and the dip exist at any
+    manifold point; the factors only at the third-order degeneracy of
+    sym.gamma.  kappa1 and kappa2 are in rad/us.
+    """
+
+    sym: SymmetricParams
+    delta_b: np.ndarray
+    kappa1: float
+    kappa2: float
+    floor_db: float
+    grid_mhz: np.ndarray | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta_b",
+                           np.atleast_1d(np.asarray(self.delta_b, dtype=float)))
+
+    @classmethod
+    def at_ep3(cls, gamma: float, delta_b, kappa1: float, kappa2: float,
+               floor_db: float,
+               grid_mhz: np.ndarray | None = None) -> SensitivityChain:
+        """The chain at the third-order degeneracy of damping gamma (rad/us)."""
+        point = locate_ep3(gamma)
+        sym = SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
+        return cls(sym, delta_b, kappa1, kappa2, floor_db, grid_mhz)
+
+    @cached_property
+    def delta_omega(self) -> np.ndarray:
+        """Trace-centred shift of the central eigenvalue, MHz."""
+        return eigenshift_sweep(self.sym, mhz(self.delta_b))
+
+    @cached_property
+    def dips(self) -> list[DipReport]:
+        """Dip of each perturbed absorption spectrum, located in the lab frame."""
+        return [spectrum_dip(self.sym, self.kappa1, self.kappa2, mhz(b),
+                             self.floor_db, self.grid_mhz)
+                for b in self.delta_b]
+
+    @cached_property
+    def dip_db(self) -> np.ndarray:
+        return np.array([dip.dip_value_db for dip in self.dips])
+
+    @cached_property
+    def clamped(self) -> np.ndarray:
+        """True where the dip sits on the floor: its contrast is not resolved."""
+        return self.dip_db <= to_db(0.0, self.floor_db)
+
+    @cached_property
+    def g_ep3(self) -> np.ndarray:
+        """Degeneracy factor; it and g_syn exist only at the degeneracy."""
+        g_ep3 = locate_ep3(self.sym.gamma, verify=False).g_ep3
+        if abs(self.sym.g - g_ep3) > DEFAULT_TOL * g_ep3:
+            raise ValidationError(
+                f"sensitivity factors need the third-order degeneracy, "
+                f"g = {to_mhz(g_ep3):.8g} MHz at gamma = "
+                f"{to_mhz(self.sym.gamma):g} MHz, got g = "
+                f"{to_mhz(self.sym.g):.8g} MHz; the dip sweep "
+                f"(--quantity dip) runs at any manifold point")
+        return np.array([g_ep3_factor(self.sym.g, mhz(b)) for b in self.delta_b])
+
+    @cached_property
+    def g_cpa(self) -> np.ndarray:
+        """dB per MHz of shift; a dip clamped at the floor gives about 0."""
+        return np.array([g_cpa_factor(self.floor_db, dip_db, shift)
+                         for shift, dip_db in zip(self.delta_omega, self.dip_db)])
+
+    @cached_property
+    def g_syn(self) -> np.ndarray:
+        return np.array([synthetic_sensitivity(gcpa, gep3)
+                         for gep3, gcpa in zip(self.g_ep3, self.g_cpa)])
+
+    def delta_b_min(self, delta_a_db: float = RESOLVABLE_DB,
+                    gamma_e_ghz_per_t: float = GAMMA_E_GHZ_PER_T) -> np.ndarray:
+        """Smallest detectable field change (tesla) at each point.
+
+        A dip clamped at the floor is a numerical limit, not an input
+        error: FloorClampError names the first such delta_b.
+        """
+        g_syn = self.g_syn
+        if self.clamped.any():
+            b = self.delta_b[self.clamped][0]
+            raise FloorClampError(
+                f"perturbed dip at delta_b = {b:g} MHz is clamped at the "
+                f"{self.floor_db:g} dB floor: its contrast is not resolved")
+        return np.array([detectable_b_min(delta_a_db, gsyn, gamma_e_ghz_per_t)
+                         for gsyn in g_syn])
+
+
 def sensitivity_report(delta_b_mhz: float,
                        floor_db: float = EXPERIMENTAL_FLOOR_DB,
                        gamma_mhz: float = 3.0,
@@ -361,7 +459,7 @@ def sensitivity_report(delta_b_mhz: float,
                        delta_a_db: float = RESOLVABLE_DB,
                        gamma_e_ghz_per_t: float = GAMMA_E_GHZ_PER_T,
                        grid_mhz: np.ndarray | None = None) -> SensitivityReport:
-    """End-to-end pipeline at the third-order degeneracy.
+    """The sensitivity chain at one field change, at the degeneracy.
 
     The eigenvalue shift comes from the exact cubic, the degeneracy factor
     from its closed form, and the dip contrast from the perturbed
@@ -375,33 +473,15 @@ def sensitivity_report(delta_b_mhz: float,
     """
     if not delta_b_mhz > 0:
         raise ValidationError("delta_b must be > 0")
-    gamma = mhz(gamma_mhz)
-    point = locate_ep3(gamma)
-    sym = SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
-    delta_b = mhz(delta_b_mhz)
-
-    delta_omega_mhz = exact_eigenshift(sym, Perturbation(delta_b))
-    gep3 = g_ep3_factor(point.g_ep3, delta_b)
-
-    params = perturbed_system(sym, mhz(kappa1_mhz), mhz(kappa2_mhz), delta_b)
-    drive = cpa_drive(params)
-    if grid_mhz is None:
-        grid_mhz = default_grid()
-    trace = total_output_spectrum(params, drive, grid_mhz, floor_db)
-    dip = find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))
-    if dip.dip_value_db <= to_db(0.0, floor_db):
-        raise FloorClampError(
-            f"perturbed dip at delta_b = {delta_b_mhz:g} MHz is clamped at "
-            f"the {floor_db:g} dB floor: its contrast is not resolved")
-
-    gcpa = g_cpa_factor(floor_db, dip.dip_value_db, delta_omega_mhz)
-    gsyn = synthetic_sensitivity(gcpa, gep3)
-    bmin = detectable_b_min(delta_a_db, gsyn, gamma_e_ghz_per_t)
+    chain = SensitivityChain.at_ep3(mhz(gamma_mhz), delta_b_mhz,
+                                    mhz(kappa1_mhz), mhz(kappa2_mhz),
+                                    floor_db, grid_mhz)
+    bmin = chain.delta_b_min(delta_a_db, gamma_e_ghz_per_t)
     return SensitivityReport(
         delta_b=delta_b_mhz,
-        delta_omega=delta_omega_mhz,
-        g_ep3=gep3,
-        g_cpa=gcpa,
-        g_syn=gsyn,
-        delta_b_min=bmin,
+        delta_omega=float(chain.delta_omega[0]),
+        g_ep3=float(chain.g_ep3[0]),
+        g_cpa=float(chain.g_cpa[0]),
+        g_syn=float(chain.g_syn[0]),
+        delta_b_min=float(bmin[0]),
     )

@@ -63,14 +63,6 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def _lorentzians(params: SystemParams, omega: float | np.ndarray):
-    d1 = omega - params.delta1
-    d2 = omega - params.delta2
-    l1 = d1 * d1 + params.gamma1 * params.gamma1
-    l2 = d2 * d2 + params.gamma2 * params.gamma2
-    return d1, d2, l1, l2
-
-
 def mn_functions(params: SystemParams, omega: float | np.ndarray):
     """Response functions (m, n) at probe offset omega (rad/us).
 
@@ -78,7 +70,10 @@ def mn_functions(params: SystemParams, omega: float | np.ndarray):
     magnon line; a zero-damping magnon probed exactly on resonance is a
     genuine pole and is rejected.
     """
-    d1, d2, l1, l2 = _lorentzians(params, omega)
+    d1 = omega - params.delta1
+    d2 = omega - params.delta2
+    l1 = d1 * d1 + params.gamma1 * params.gamma1
+    l2 = d2 * d2 + params.gamma2 * params.gamma2
     if _any(l1 == 0) or _any(l2 == 0):
         raise ScatteringPoleError(
             "undamped magnon probed on resonance (zero Lorentzian width)")
@@ -88,21 +83,6 @@ def mn_functions(params: SystemParams, omega: float | np.ndarray):
          - g1sq * params.gamma1 / l1 - g2sq * params.gamma2 / l2)
     n = omega - g1sq * d1 / l1 - g2sq * d2 / l2
     return m, n
-
-
-def m_symmetric_form(sym: SymmetricParams, kappa1: float, kappa2: float,
-                     omega: float | np.ndarray):
-    """m(Omega) written with the balanced-gain constant 2*gamma - 2*k1 - 2*k2.
-
-    Algebraically identical to :func:`mn_functions`'s m whenever
-    kappa_int = kappa1 + kappa2 - 2*gamma; kept as a separate entry point
-    so the identity itself is testable.
-    """
-    params = sym.to_system(kappa1, kappa2)
-    _, _, l1, l2 = _lorentzians(params, omega)
-    gsq = sym.g * sym.g
-    return (2.0 * sym.gamma - 2.0 * kappa1 - 2.0 * kappa2
-            - gsq * sym.gamma / l1 - gsq * sym.gamma / l2)
 
 
 def _denominator(params: SystemParams, omega):
@@ -139,33 +119,6 @@ def total_output(params: SystemParams, drive: DriveParams, omega) -> float:
     s1 = (-1.0 - 2.0 * params.kappa1 / den) * x + t
     s2 = (-1.0 - 2.0 * params.kappa2 / den) + t * x
     return np.abs(s1) ** 2 + np.abs(s2) ** 2
-
-
-def total_output_expanded(params: SystemParams, drive: DriveParams,
-                          omega) -> float:
-    """Total output power through the expanded real form.
-
-    Writing M = m + i*n, the port sums expand to
-
-        { |(M + 2*kappa1)*x + 2*sqrt(k1*k2)|^2
-        + |(M + 2*kappa2) + 2*sqrt(k1*k2)*x|^2 } / (m^2 + n^2)
-
-    which is evaluated here directly in real arithmetic as an independent
-    composition of the same response functions.
-    """
-    m, n, _ = _denominator(params, omega)
-    k1, k2 = params.kappa1, params.kappa2
-    root = 2.0 * math.sqrt(k1 * k2)
-    sp = math.sqrt(drive.p)
-    c, s = math.cos(drive.phi), math.sin(drive.phi)
-    # |(M + 2k1) x + root|^2 with x = sp*(c - i s)
-    a_re, a_im = m + 2.0 * k1, n
-    num1 = (drive.p * (a_re * a_re + a_im * a_im) + root * root
-            + 2.0 * root * sp * (a_re * c + a_im * s))
-    b_re, b_im = m + 2.0 * k2, n
-    num2 = (b_re * b_re + b_im * b_im + root * root * drive.p
-            + 2.0 * root * sp * (b_re * c - b_im * s))
-    return (num1 + num2) / (m * m + n * n)
 
 
 def cpa_drive(params: SystemParams) -> DriveParams:

@@ -32,13 +32,13 @@ from trimag.sensing import (
 )
 from trimag.spectrum import (
     cpa_drive,
-    m_symmetric_form,
     mn_functions,
     perturbed_system,
     total_output,
 )
 from trimag.figures import generate
 
+from oracles import m_symmetric_form
 from test_spectrum import random_system, steady_state_oracle
 
 GAMMA = mhz(3.0)

@@ -163,6 +163,44 @@ class TestSweepCommand:
         assert "error: config" in capsys.readouterr().err
 
 
+class TestSweepGoldens:
+    """The delta_b sweeps, byte for byte as the per-point code wrote them."""
+
+    SWEEP = ["sweep", "--axis", "delta_b"]
+
+    @pytest.mark.parametrize("name,args", [
+        ("dip_ep3.csv", ["--start-mhz", "0.005", "--stop-mhz", "0.05",
+                         "--points", "10", "--quantity", "dip"]),
+        ("dip_g459.csv", ["--start-mhz", "-0.05", "--stop-mhz", "0.05",
+                          "--points", "21", "--quantity", "dip",
+                          "--g-mhz", "4.59"]),
+        ("sensitivity_ep3.csv", ["--start-mhz", "0.0025", "--stop-mhz", "0.05",
+                                 "--points", "20", "--quantity", "sensitivity"]),
+    ])
+    def test_matches_golden(self, tmp_path, name, args):
+        out = tmp_path / name
+        assert run_cli([*self.SWEEP, *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "sweep" / name).read_bytes()
+
+    @pytest.mark.parametrize("floor", [[], ["--floor-db", "-91.5"]])
+    def test_floor_clamped_sensitivity_exits_three(self, capsys, floor):
+        assert run_cli([*self.SWEEP, "--start-mhz", "1e-9", "--stop-mhz",
+                        "2e-9", "--points", "2", "--quantity", "sensitivity",
+                        *floor]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "delta_b = 1e-09 MHz" in err
+        assert f"the {floor[-1] if floor else '-120'} dB floor" in err
+
+    @pytest.mark.parametrize("g_mhz", ["3.2", "4.59"])
+    def test_sensitivity_off_the_degeneracy_exits_two(self, capsys, g_mhz):
+        assert run_cli([*self.SWEEP, "--start-mhz", "0.01", "--stop-mhz",
+                        "0.02", "--points", "3", "--quantity", "sensitivity",
+                        "--g-mhz", g_mhz]) == 2
+        err = capsys.readouterr().err
+        assert "g = 3.4641016 MHz at gamma = 3 MHz" in err
+        assert "--quantity dip" in err
+
+
 class TestReproduceGoldens:
     @pytest.mark.parametrize("figure", sorted(FIGURE_FILES))
     def test_matches_checked_in_golden(self, figure, tmp_path, capsys):

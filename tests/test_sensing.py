@@ -14,6 +14,7 @@ from trimag.sensing import (
     RAMP_STEPS,
     BranchTrackingError,
     Perturbation,
+    SensitivityChain,
     SensitivityReport,
     _select_central,
     central_branch,
@@ -67,6 +68,11 @@ FIGURE_GRIDS = {
     "fig4": np.unique(np.append(np.geomspace(1e-3, 0.05, 17), 0.025)),
     "geomspace12": np.geomspace(1e-3, 0.04, 12),
 }
+
+# sweep ends; below about 1e-19 rad/us the rounding of the cubic's
+# coefficients, not delta_b, picks the ramp's branch at the degeneracy
+DELTA_B_MHZ = st.one_of(st.just(0.0), st.floats(1e-9, 0.3),
+                        st.floats(-0.3, -1e-9))
 
 
 class TestPerturbedHamiltonian:
@@ -155,6 +161,27 @@ class TestExactEigenshift:
                 central_branch(sym, delta_b)
         else:
             assert central_branch(sym, delta_b) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(g_mhz=st.sampled_from([None, 3.6, 4.59, 6.0, 8.0]),
+           ends=st.lists(DELTA_B_MHZ, min_size=2, max_size=2,
+                         unique=True).map(sorted),
+           points=st.integers(1, 40))
+    def test_sweep_equals_single_calls_on_any_grid(self, g_mhz, ends, points):
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        bs = mhz(np.linspace(*ends, points))
+        singles = [exact_eigenshift(sym, Perturbation(b)) for b in bs]
+        assert np.array_equal(eigenshift_sweep(sym, bs), singles)
+
+    @pytest.mark.parametrize("grid", [[0.3], [1.4e-4, 0.104], [-0.28, -1e-6]],
+                             ids=["one_point", "step_more_than_doubles",
+                                  "step_more_than_halves"])
+    def test_sweep_reseeds_where_continuation_would_jump(self, grid):
+        # continued along the axis, each lands on another branch
+        bs = mhz(np.array(grid))
+        singles = [exact_eigenshift(ep3_sym(), Perturbation(b)) for b in bs]
+        assert np.array_equal(eigenshift_sweep(ep3_sym(), bs), singles)
 
     def test_linear_scaling_away_from_degeneracy(self):
         sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
@@ -323,6 +350,45 @@ class TestSlopeFit:
         fit = fit_loglog_slope(pts, (1e-4, 1e-2))
         assert fit.window == (1e-4, 1e-2)
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
+
+
+def ep3_chain(delta_b_mhz, floor_db=-91.5, sym=None):
+    return SensitivityChain(sym or ep3_sym(), delta_b_mhz, mhz(4.0), mhz(4.0),
+                            floor_db)
+
+
+class TestSensitivityChain:
+    def test_one_point_is_the_report(self):
+        chain = ep3_chain(0.025)
+        report = sensitivity_report(0.025, floor_db=-91.5)
+        assert (chain.delta_omega[0], chain.g_ep3[0], chain.g_cpa[0],
+                chain.g_syn[0], chain.delta_b_min()[0]) == (
+            report.delta_omega, report.g_ep3, report.g_cpa, report.g_syn,
+            report.delta_b_min)
+
+    def test_columns_follow_the_factor_functions(self):
+        chain = ep3_chain([0.01, 0.025, 0.04])
+        for i, b in enumerate(chain.delta_b):
+            gep3 = g_ep3_factor(ep3_sym().g, mhz(b))
+            gcpa = g_cpa_factor(-91.5, chain.dip_db[i], chain.delta_omega[i])
+            assert (chain.g_ep3[i], chain.g_cpa[i], chain.g_syn[i]) == (
+                gep3, gcpa, synthetic_sensitivity(gcpa, gep3))
+
+    def test_shift_and_dip_off_the_degeneracy(self):
+        # the dip columns run at any manifold point; the factors do not
+        sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
+        chain = ep3_chain([-0.02, 0.02], sym=sym)
+        assert chain.delta_omega[0] == -chain.delta_omega[1] > 0
+        assert len(chain.dips) == 2
+        with pytest.raises(ValidationError, match="g = 3.4641016 MHz"):
+            chain.g_syn
+
+    def test_floor_clamp_is_named_at_its_first_point(self):
+        chain = ep3_chain([1e-3, 1.5e-3, 0.025])
+        assert chain.clamped.tolist() == [True, True, False]
+        assert chain.g_cpa[0] == 0.0 and chain.g_syn[1] == 0.0
+        with pytest.raises(FloorClampError, match="delta_b = 0.001 MHz"):
+            chain.delta_b_min()
 
 
 class TestSensitivityReport:

@@ -16,7 +16,6 @@ from trimag.spectrum import (
     default_grid,
     find_dip,
     golden_section_min,
-    m_symmetric_form,
     mn_functions,
     output_amplitudes,
     perturbed_system,
@@ -24,10 +23,11 @@ from trimag.spectrum import (
     spectrum_dip,
     to_db,
     total_output,
-    total_output_expanded,
     total_output_spectrum,
     trace_to_csv,
 )
+
+from oracles import m_symmetric_form, total_output_expanded
 
 GAMMA = mhz(3.0)
 K1 = mhz(4.0)
