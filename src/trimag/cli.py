@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
 
@@ -19,7 +20,16 @@ import numpy as np
 
 from . import figures
 from .core import locate_ep3
-from .params import DriveParams, SymmetricParams, ValidationError, mhz, to_mhz
+from .params import (
+    GAMMA_MHZ,
+    KAPPA1_MHZ,
+    KAPPA2_MHZ,
+    DriveParams,
+    SymmetricParams,
+    ValidationError,
+    mhz,
+    to_mhz,
+)
 from .sensing import BranchTrackingError, SensitivityChain, sensitivity_report
 from .spectrum import (
     DEFAULT_FLOOR_DB,
@@ -107,34 +117,50 @@ def _symmetric_from_config(config: dict) -> SymmetricParams:
     return SymmetricParams(gamma=mhz(gamma), g=mhz(g), delta=mhz(delta))
 
 
-def _drive_from_spec(spec, params) -> DriveParams:
-    if spec == "cpa" or spec is None:
+def _drive_from_spec(spec: str, params) -> DriveParams:
+    if spec == "cpa":
         return cpa_drive(params)
-    if isinstance(spec, str):
-        try:
-            p_str, phi_str = spec.split(",")
-            p, phi = float(p_str), float(phi_str)
-        except ValueError as exc:
-            raise ValidationError(
-                f"drive must be 'cpa' or 'p,phi', got {spec!r}") from exc
-        return DriveParams(p=p, phi=phi)
-    if isinstance(spec, dict):
-        return DriveParams(p=float(spec.get("p", 1.0)),
-                           phi=float(spec.get("phi", 0.0)))
-    raise ValidationError(f"unrecognized drive spec {spec!r}")
+    try:
+        p_str, phi_str = spec.split(",")
+        p, phi = float(p_str), float(phi_str)
+    except ValueError as exc:
+        raise ValidationError(
+            f"drive must be 'cpa' or 'p,phi', got {spec!r}") from exc
+    return DriveParams(p=p, phi=phi)
+
+
+@contextmanager
+def _writing(path):
+    """Report a file or directory that cannot be written as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: "
+                              f"{exc.strerror or exc}") from exc
 
 
 def _emit(path: str | None, text: str) -> None:
     if path:
-        Path(path).write_text(text)
+        with _writing(path):
+            Path(path).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_numbers(args) -> None:
+    """Every number on the command line is finite, and every count >= 1."""
+    for dest, value in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value!r}")
+        if type(value) is int and value < 1:
+            raise ValidationError(f"{flag} must be >= 1, got {value}")
 
 
 # ---------------------------------------------------------------- commands
 
 def cmd_ep3(args) -> int:
-    if args.gamma_mhz is None or args.gamma_mhz <= 0:
+    if args.gamma_mhz <= 0:
         raise ValidationError("--gamma-mhz must be > 0")
     point = locate_ep3(mhz(args.gamma_mhz))
     payload = {
@@ -150,7 +176,8 @@ def cmd_ep3(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    paths = figures.generate(args.figure, args.outdir)
+    with _writing(args.outdir):
+        paths = figures.generate(args.figure, args.outdir)
     for p in paths:
         print(p)
     return EXIT_OK
@@ -270,13 +297,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.delta_b_mhz is None or args.delta_b_mhz <= 0:
+    if args.delta_b_mhz <= 0:
         raise ValidationError("--delta-b-mhz must be > 0")
     report = sensitivity_report(args.delta_b_mhz, floor_db=args.floor_db)
-    text = report.to_json()
+    text = report.to_json() + "\n"
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        _emit(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -315,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("spectrum", help="total output power over a probe grid")
-    p.add_argument("--gamma-mhz", type=float, default=figures.GAMMA_MHZ)
+    p.add_argument("--gamma-mhz", type=float, default=GAMMA_MHZ)
     p.add_argument("--g-mhz", type=float, required=True)
     p.add_argument("--delta-mhz", type=float,
                    help="detuning; defaults to the manifold value")
-    p.add_argument("--kappa1-mhz", type=float, default=figures.KAPPA1_MHZ)
-    p.add_argument("--kappa2-mhz", type=float, default=figures.KAPPA2_MHZ)
+    p.add_argument("--kappa1-mhz", type=float, default=KAPPA1_MHZ)
+    p.add_argument("--kappa2-mhz", type=float, default=KAPPA2_MHZ)
     p.add_argument("--drive", default="cpa", help="'cpa' or 'p,phi'")
     p.add_argument("--delta-b-mhz", type=float, default=0.0)
     p.add_argument("--span-mhz", type=float, default=10.0)
@@ -344,6 +371,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cubic import (
-    CubicCoeffs,
-    ComplexTriple,
-    cardano_roots,
-    companion_roots,
-    multiset_distance,
-)
-from .params import DEFAULT_TOL, SymmetricParams, SystemParams, ValidationError
+from .cubic import CubicCoeffs, ComplexTriple, cardano_roots, companion_roots
+from .params import SymmetricParams, ValidationError
 
 # eigenvectors coalesce like a fractional power of the parameter distance,
 # so their coincidence check is necessarily looser than the eigenvalue one
@@ -53,24 +47,6 @@ class Ep3Point:
     delta_ep3: float
 
 
-def build_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Mode matrix of the full system (rad/us), cavity mode first."""
-    return np.array(
-        [[1j * params.kappa_c, params.g1, params.g2],
-         [params.g1, params.delta1 - 1j * params.gamma1, 0.0],
-         [params.g2, 0.0, params.delta2 - 1j * params.gamma2]],
-        dtype=complex)
-
-
-def symmetric_hamiltonian(sym: SymmetricParams) -> np.ndarray:
-    """Mode matrix in the symmetric balanced case (gain pinned to 2*gamma)."""
-    return np.array(
-        [[2j * sym.gamma, sym.g, sym.g],
-         [sym.g, sym.delta - 1j * sym.gamma, 0.0],
-         [sym.g, 0.0, -sym.delta - 1j * sym.gamma]],
-        dtype=complex)
-
-
 def cubic_coeffs(sym: SymmetricParams) -> CubicCoeffs:
     """Characteristic cubic x**3 + c1*x + c0 of the symmetric mode matrix.
 
@@ -84,19 +60,13 @@ def cubic_coeffs(sym: SymmetricParams) -> CubicCoeffs:
     return CubicCoeffs(c0=c0, c1=complex(c1))
 
 
-def eigenvalues_symmetric(sym: SymmetricParams) -> ComplexTriple:
-    """Eigenvalues of the symmetric case through the closed-form cubic."""
-    return cardano_roots(cubic_coeffs(sym))
-
-
-def eigenvalues_on_manifold(sym: SymmetricParams,
-                            tol: float = DEFAULT_TOL) -> ComplexTriple:
+def eigenvalues_on_manifold(sym: SymmetricParams) -> ComplexTriple:
     """Eigenvalues {0, +s, -s} with s = sqrt(3g^2 - 4gamma^2) on the manifold.
 
     The square root is real-positive above the coalescence coupling and
     positive-imaginary below it.  Inputs off the manifold are rejected.
     """
-    sym.require_manifold(tol)
+    sym.require_manifold()
     radicand = 3.0 * sym.g * sym.g - 4.0 * sym.gamma * sym.gamma
     if radicand >= 0.0:
         s = complex(math.sqrt(radicand), 0.0)
@@ -112,8 +82,7 @@ def _normalize_leading(v: np.ndarray) -> np.ndarray:
     return v / (phase * np.linalg.norm(v))
 
 
-def eigenvectors_on_manifold(sym: SymmetricParams,
-                             tol: float = DEFAULT_TOL) -> EigentripleWithVectors:
+def eigenvectors_on_manifold(sym: SymmetricParams) -> EigentripleWithVectors:
     """Closed-form eigenvectors paired with {0, +s, -s} on the manifold.
 
     For the zero eigenvalue the magnon amplitudes are (-delta - i*gamma)/g
@@ -122,8 +91,7 @@ def eigenvectors_on_manifold(sym: SymmetricParams,
     (1, (-1 - i*sqrt(3))/2, (1 - i*sqrt(3))/2)/sqrt(3) at the third-order
     degeneracy.
     """
-    sym.require_manifold(tol)
-    values = eigenvalues_on_manifold(sym, tol)
+    values = eigenvalues_on_manifold(sym)
     gamma, g = sym.gamma, sym.g
     if g == 0:
         raise ValidationError("eigenvectors are undefined for g = 0 "
@@ -186,11 +154,3 @@ def locate_ep3(gamma: float, verify: bool = True) -> Ep3Point:
                 raise ValidationError("eigenvectors fail to coalesce at the "
                                       "degeneracy point")
     return point
-
-
-def is_pseudo_hermitian_spectrum(triple: ComplexTriple,
-                                 tol: float = DEFAULT_TOL) -> bool:
-    """True if the eigenvalue multiset is closed under complex conjugation."""
-    conj = ComplexTriple(*(x.conjugate() for x in triple))
-    scale = max(1.0, max(abs(x) for x in triple))
-    return multiset_distance(triple, conj) <= tol * scale

@@ -30,6 +30,9 @@ _PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
 #: residual bound for a polished root, scaled by the coefficient magnitude
 RESIDUAL_TOL = 1e-9
 
+#: guarded Newton steps per root, in cardano_roots and cardano_roots_batch
+POLISH_STEPS = 4
+
 
 @dataclass(frozen=True)
 class CubicCoeffs:
@@ -67,17 +70,13 @@ def _ldexp(z, k):
     return np.ldexp(np.real(z), k) + 1j * np.ldexp(np.imag(z), k)
 
 
-def _residual(x: complex, coeffs: CubicCoeffs) -> complex:
-    return x * x * x + coeffs.c1 * x + coeffs.c0
-
-
-def _newton_polish(x: complex, coeffs: CubicCoeffs, iterations: int = 4) -> complex:
+def _newton_polish(x: complex, coeffs: CubicCoeffs) -> complex:
     # accept a step only if it reduces |f|: at (near-)multiple roots the
     # residual is rounding-noise dominated and a raw step can wander O(1)
     c0, c1 = coeffs.c0, coeffs.c1
-    f = x * x * x + c1 * x + c0  # _residual, inlined: this is the hot loop
+    f = x * x * x + c1 * x + c0
     best = abs(f)
-    for _ in range(iterations):
+    for _ in range(POLISH_STEPS):
         if best == 0.0:
             break
         fp = 3.0 * x * x + c1
@@ -162,7 +161,7 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
         f = roots * roots * roots + c1 * roots + c0
         best = np.abs(f)
         active = np.ones(roots.shape, dtype=bool)
-        for _ in range(4):
+        for _ in range(POLISH_STEPS):
             candidate = roots - f / (3.0 * roots * roots + c1)
             f_candidate = candidate * candidate * candidate + c1 * candidate + c0
             value = np.abs(f_candidate)
@@ -189,21 +188,6 @@ def companion_roots(coeffs: CubicCoeffs) -> ComplexTriple:
          [0.0, 1.0, 0.0]], dtype=complex)
     ev = np.linalg.eigvals(c)
     return ComplexTriple(ev[0], ev[1], ev[2])
-
-
-def max_residual(triple: ComplexTriple, coeffs: CubicCoeffs) -> float:
-    return max(abs(_residual(x, coeffs)) for x in triple)
-
-
-def multiset_distance(a: ComplexTriple, b: ComplexTriple) -> float:
-    """Smallest max-elementwise distance over all pairings of two triples."""
-    distances = np.abs(a.as_array()[_PERMUTATIONS] - b.as_array())
-    return float(np.min(np.max(distances, axis=1)))
-
-
-def ep2_discriminant(coeffs: CubicCoeffs) -> complex:
-    """27*c0**2 + 4*c1**3; zero exactly where two roots merge."""
-    return 27.0 * coeffs.c0 * coeffs.c0 + 4.0 * coeffs.c1 ** 3
 
 
 def match_to_previous(roots: np.ndarray, previous: np.ndarray) -> np.ndarray:

@@ -16,13 +16,19 @@ import numpy as np
 
 from .core import cubic_coeffs, locate_ep3
 from .cubic import cardano_roots, match_to_previous
-from .params import DEFAULT_TOL, SymmetricParams, ValidationError, mhz, to_mhz
+from .params import (
+    DEFAULT_TOL,
+    GAMMA_MHZ,
+    SymmetricParams,
+    ValidationError,
+    mhz,
+    to_mhz,
+)
 from .sensing import SensitivityChain, eigenshift_sweep, fit_loglog_slope
 from .spectrum import EXPERIMENTAL_FLOOR_DB
 
-GAMMA_MHZ = 3.0
-KAPPA1_MHZ = 4.0
-KAPPA2_MHZ = 4.0
+#: perturbation window of the fig3c response datasets and fits, MHz
+RESPONSE_WINDOW_MHZ = (1e-4, 1e-2)
 
 FIGURES = ("fig2", "fig3c", "fig3d", "fig3f", "fig4")
 
@@ -59,21 +65,23 @@ def eigenvalue_surfaces(gamma: float, g_grid, d_grid) -> np.ndarray:
 def ep2_locus_g(gamma_mhz: float, delta_mhz) -> np.ndarray:
     """Couplings g (MHz) where two eigenvalues merge, at each detuning.
 
-    27*c0^2 + 4*c1^3 = 0 is cubic in t = g^2; the cubics of all detunings
-    are solved in one companion-matrix eigensolve, built as np.roots
-    builds it.  Row j holds the g of the real positive roots of
-    delta_mhz[j], ascending, padded with NaN to three.  The equation is
-    scale-invariant, so it is solved directly in MHz units.
+    27*c0^2 + 4*c1^3 = 0 is cubic in t = g^2 with coefficients polynomial
+    in s = delta^2.  They are written in factored form, so that the terms
+    that vanish with s vanish exactly instead of by cancellation.  The
+    cubics of all detunings are solved in one companion-matrix eigensolve,
+    built as np.roots builds it.  Row j holds the g of the real positive
+    roots of delta_mhz[j], ascending, padded with NaN to three.  The
+    equation is scale-invariant, so it is solved directly in MHz units.
     """
     d = np.atleast_1d(np.asarray(delta_mhz, dtype=float))
     gam2 = gamma_mhz * gamma_mhz
-    u = 3.0 * gam2 - d * d
-    v = d * d + gam2
+    s = d * d
+    w = 9.0 * gam2 + s
     lead = -32.0
     tail = np.column_stack([
-        48.0 * u - 108.0 * gam2,
-        -24.0 * u * u + 216.0 * gam2 * v,
-        4.0 * u ** 3 - 108.0 * gam2 * v * v,
+        12.0 * (3.0 * gam2 - 4.0 * s),
+        24.0 * s * (15.0 * gam2 - s),
+        -4.0 * s * (w * w),
     ])
     companion = np.zeros((d.size, 3, 3))
     companion[:, 0] = -tail / lead
@@ -127,9 +135,9 @@ def manifold_rows(gamma_mhz: float, axis: str, values_mhz) -> np.ndarray:
     return table
 
 
-def generate_fig2(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
+def generate_fig2(outdir: Path) -> list[Path]:
     """Eigenvalue surfaces, degeneracy lines and manifold cuts."""
-    gamma = mhz(gamma_mhz)
+    gamma = mhz(GAMMA_MHZ)
     paths = []
 
     # surfaces over (g, delta); branches continued along g at fixed delta
@@ -146,7 +154,7 @@ def generate_fig2(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
 
     # second-order degeneracy lines
     d_grid = np.linspace(-5.0, 5.0, 201)
-    g = ep2_locus_g(gamma_mhz, d_grid)
+    g = ep2_locus_g(GAMMA_MHZ, d_grid)
     row, branch = np.nonzero(g <= 8.0)
     p = outdir / "fig2_ep2_lines.csv"
     _write_csv(p, "delta_mhz,g_mhz,branch",
@@ -157,42 +165,41 @@ def generate_fig2(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
     point = locate_ep3(gamma)
     p = outdir / "fig2_ep3.csv"
     _write_csv(p, "gamma_mhz,g_ep3_mhz,delta_ep3_mhz",
-               [[gamma_mhz, to_mhz(point.g_ep3), to_mhz(point.delta_ep3)]])
+               [[GAMMA_MHZ, to_mhz(point.g_ep3), to_mhz(point.delta_ep3)]])
     paths.append(p)
 
     columns = "re0_mhz,im0_mhz,re_plus_mhz,im_plus_mhz,re_minus_mhz,im_minus_mhz"
     # manifold cut versus g (delta = sqrt(g^2 - gamma^2))
     p = outdir / "fig2_manifold_vs_g.csv"
     _write_csv(p, "g_mhz,delta_mhz," + columns,
-               manifold_rows(gamma_mhz, "g", np.linspace(gamma_mhz, 8.0, 201)))
+               manifold_rows(GAMMA_MHZ, "g", np.linspace(GAMMA_MHZ, 8.0, 201)))
     paths.append(p)
 
     # manifold cut versus delta (g = sqrt(delta^2 + gamma^2))
     p = outdir / "fig2_manifold_vs_delta.csv"
     _write_csv(p, "delta_mhz,g_mhz," + columns,
-               manifold_rows(gamma_mhz, "delta", np.linspace(-5.0, 5.0, 201)))
+               manifold_rows(GAMMA_MHZ, "delta", np.linspace(-5.0, 5.0, 201)))
     paths.append(p)
     return paths
 
 
-def response_sweep(gamma_mhz: float, g_mhz: float,
-                   window_mhz=(1e-4, 1e-2), points: int = 50) -> np.ndarray:
-    """(delta_b_mhz, |delta_omega|_mhz) rows from the exact cubic."""
-    gamma = mhz(gamma_mhz)
-    sym = SymmetricParams.manifold_point(gamma, mhz(g_mhz))
-    bs = np.geomspace(window_mhz[0], window_mhz[1], points)
+def response_sweep(g_mhz: float) -> np.ndarray:
+    """(delta_b_mhz, |delta_omega|_mhz) rows from the exact cubic, 50 points
+    across RESPONSE_WINDOW_MHZ."""
+    sym = SymmetricParams.manifold_point(mhz(GAMMA_MHZ), mhz(g_mhz))
+    bs = np.geomspace(*RESPONSE_WINDOW_MHZ, 50)
     return np.column_stack([bs, np.abs(eigenshift_sweep(sym, mhz(bs)))])
 
 
-def generate_fig3c(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
+def generate_fig3c(outdir: Path) -> list[Path]:
     """Log-log response datasets at and away from the degeneracy."""
-    point = locate_ep3(mhz(gamma_mhz))
+    point = locate_ep3(mhz(GAMMA_MHZ))
     g_values = [to_mhz(point.g_ep3), 4.59]
     rows, fit_rows = [], []
     for g in g_values:
-        data = response_sweep(gamma_mhz, g)
+        data = response_sweep(g)
         rows.extend([g, b, w] for b, w in data)
-        fit = fit_loglog_slope(data, (1e-4, 1e-2))
+        fit = fit_loglog_slope(data, RESPONSE_WINDOW_MHZ)
         fit_rows.append([g, fit.slope, fit.intercept, fit.r_squared,
                          fit.window[0], fit.window[1]])
     p1 = outdir / "fig3c_response.csv"
@@ -203,25 +210,20 @@ def generate_fig3c(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
     return [p1, p2]
 
 
-def _chain(gamma_mhz: float, delta_b_mhz,
-           floor_db: float = EXPERIMENTAL_FLOOR_DB) -> SensitivityChain:
-    return SensitivityChain.at_ep3(mhz(gamma_mhz), delta_b_mhz, mhz(KAPPA1_MHZ),
-                                   mhz(KAPPA2_MHZ), floor_db)
-
-
-def generate_fig3d(outdir: Path, gamma_mhz: float = GAMMA_MHZ) -> list[Path]:
+def generate_fig3d(outdir: Path) -> list[Path]:
     """Degeneracy sensitivity factor versus perturbation."""
-    chain = _chain(gamma_mhz, np.geomspace(1e-4, 0.05, 100))
+    chain = SensitivityChain.at_ep3(np.geomspace(1e-4, 0.05, 100),
+                                    EXPERIMENTAL_FLOOR_DB)
     p = outdir / "fig3d_gep3.csv"
     _write_csv(p, "delta_b_mhz,g_ep3", np.column_stack([chain.delta_b,
                                                          chain.g_ep3]))
     return [p]
 
 
-def generate_fig3f(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
-                   floor_db: float = EXPERIMENTAL_FLOOR_DB) -> list[Path]:
+def generate_fig3f(outdir: Path) -> list[Path]:
     """Spectral-contrast factor versus eigenvalue shift."""
-    chain = _chain(gamma_mhz, np.geomspace(5e-3, 0.05, 13), floor_db)
+    chain = SensitivityChain.at_ep3(np.geomspace(5e-3, 0.05, 13),
+                                    EXPERIMENTAL_FLOOR_DB)
     p = outdir / "fig3f_gcpa.csv"
     _write_csv(p, "delta_b_mhz,delta_omega_mhz,dip_db,g_cpa_db_per_mhz",
                np.column_stack([chain.delta_b, chain.delta_omega,
@@ -229,15 +231,14 @@ def generate_fig3f(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
     return [p]
 
 
-def generate_fig4(outdir: Path, gamma_mhz: float = GAMMA_MHZ,
-                  floor_db: float = EXPERIMENTAL_FLOOR_DB) -> list[Path]:
+def generate_fig4(outdir: Path) -> list[Path]:
     """The three sensitivity factors versus perturbation.
 
     The smallest perturbations leave the dip on the floor; their rows
     keep the floor's contrast, 0, rather than fail.
     """
     grid = np.unique(np.append(np.geomspace(1e-3, 0.05, 17), 0.025))
-    chain = _chain(gamma_mhz, grid, floor_db)
+    chain = SensitivityChain.at_ep3(grid, EXPERIMENTAL_FLOOR_DB)
     p = outdir / "fig4_factors.csv"
     _write_csv(p, "delta_b_mhz,g_ep3,g_cpa_db_per_mhz,g_syn_db_per_mhz",
                np.column_stack([chain.delta_b, chain.g_ep3, chain.g_cpa,

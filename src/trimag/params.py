@@ -14,8 +14,13 @@ from dataclasses import dataclass
 TWO_PI = 2.0 * math.pi
 
 # relative tolerance for algebraic identities (manifold membership,
-# symmetric-case detection, ...)
+# the degeneracy point, ...)
 DEFAULT_TOL = 1e-9
+
+# the device point of the study: magnon damping and cavity port rates, MHz
+GAMMA_MHZ = 3.0
+KAPPA1_MHZ = 4.0
+KAPPA2_MHZ = 4.0
 
 
 def mhz(value: float) -> float:
@@ -41,8 +46,6 @@ class SystemParams:
     gamma1, gamma2   magnon damping rates (rad/us)
     g1, g2           magnon-cavity coupling strengths (rad/us)
     delta1, delta2   magnon-cavity detunings (rad/us)
-    omega_c          absolute cavity frequency (rad/us); only used to label
-                     output grids with absolute frequencies
     """
 
     kappa1: float
@@ -54,7 +57,6 @@ class SystemParams:
     g2: float
     delta1: float
     delta2: float
-    omega_c: float = 0.0
 
     def __post_init__(self):
         for name in ("kappa1", "kappa2", "kappa_int", "gamma1", "gamma2", "g1", "g2"):
@@ -63,7 +65,7 @@ class SystemParams:
                 raise ValidationError(f"{name} must be finite, got {v!r}")
             if v < 0:
                 raise ValidationError(f"{name} must be >= 0, got {v!r}")
-        for name in ("delta1", "delta2", "omega_c"):
+        for name in ("delta1", "delta2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
@@ -71,21 +73,6 @@ class SystemParams:
     def kappa_c(self) -> float:
         """Effective cavity gain under two-port coherent absorption drive."""
         return self.kappa1 + self.kappa2 - self.kappa_int
-
-    def is_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
-        """True if the parameters realize the symmetric balanced case.
-
-        Requires equal dampings and couplings, opposite detunings and the
-        gain condition kappa_c == 2*gamma, each to relative tolerance.
-        """
-        scale = max(self.gamma1, self.gamma2, self.g1, self.g2,
-                    abs(self.delta1), abs(self.delta2), self.kappa_c, 1e-30)
-        return (
-            abs(self.gamma1 - self.gamma2) <= tol * scale
-            and abs(self.g1 - self.g2) <= tol * scale
-            and abs(self.delta1 + self.delta2) <= tol * scale
-            and abs(self.kappa_c - 2.0 * self.gamma1) <= tol * scale
-        )
 
 
 @dataclass(frozen=True)
@@ -112,12 +99,12 @@ class SymmetricParams:
         """Signed defect g**2 - delta**2 - gamma**2 (rad/us)**2."""
         return self.g * self.g - self.delta * self.delta - self.gamma * self.gamma
 
-    def on_manifold(self, tol: float = DEFAULT_TOL) -> bool:
+    def on_manifold(self) -> bool:
         scale = max(self.g * self.g, self.delta * self.delta + self.gamma * self.gamma)
-        return abs(self.manifold_residual()) <= tol * max(scale, 1e-30)
+        return abs(self.manifold_residual()) <= DEFAULT_TOL * max(scale, 1e-30)
 
-    def require_manifold(self, tol: float = DEFAULT_TOL) -> None:
-        if not self.on_manifold(tol):
+    def require_manifold(self) -> None:
+        if not self.on_manifold():
             raise ValidationError(
                 "parameters are off the pseudo-Hermitian manifold "
                 f"(g^2 - delta^2 - gamma^2 = {self.manifold_residual():.3e})"
@@ -132,8 +119,7 @@ class SymmetricParams:
             )
         return cls(gamma=gamma, g=g, delta=math.sqrt(g * g - gamma * gamma))
 
-    def to_system(self, kappa1: float, kappa2: float,
-                  omega_c: float = 0.0) -> SystemParams:
+    def to_system(self, kappa1: float, kappa2: float) -> SystemParams:
         """Expand to full system parameters for the given port rates.
 
         The intrinsic loss is implied by the gain condition
@@ -150,7 +136,6 @@ class SymmetricParams:
             gamma1=self.gamma, gamma2=self.gamma,
             g1=self.g, g2=self.g,
             delta1=self.delta, delta2=-self.delta,
-            omega_c=omega_c,
         )
 
 

@@ -24,10 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import locate_ep3, symmetric_hamiltonian
+from .core import locate_ep3
 from .cubic import CubicCoeffs, cardano_roots, cardano_roots_batch
 from .params import (
     DEFAULT_TOL,
+    GAMMA_MHZ,
+    KAPPA1_MHZ,
+    KAPPA2_MHZ,
     SymmetricParams,
     ValidationError,
     mhz,
@@ -44,7 +47,7 @@ from .spectrum import (
 #: continuation trust radius for branch tracking, in units of gamma
 TRUST_RADIUS = 0.5
 
-#: default ramp resolution for single-shot shift evaluation
+#: ramp resolution for single-shot shift evaluation
 RAMP_STEPS = 64
 
 GAMMA_E_GHZ_PER_T = 28.0  # gyromagnetic ratio of the ferrimagnet, GHz/T
@@ -64,16 +67,6 @@ class Perturbation:
     def __post_init__(self):
         if not math.isfinite(self.delta_b):
             raise ValidationError("delta_b must be finite")
-
-
-def perturbed_hamiltonian(sym: SymmetricParams, pert: Perturbation,
-                          tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Mode matrix with both magnon detunings shifted by delta_b."""
-    sym.require_manifold(tol)
-    h = symmetric_hamiltonian(sym)
-    h[1, 1] += pert.delta_b
-    h[2, 2] += pert.delta_b
-    return h
 
 
 def _depressed_cubic(sym: SymmetricParams, delta_b) -> CubicCoeffs:
@@ -136,11 +129,10 @@ def _closed_form(sym: SymmetricParams, delta_b: float, x: complex) -> complex:
     return min(roots, key=lambda r: abs(r - x))
 
 
-def central_branch(sym: SymmetricParams, delta_b: float,
-                   steps: int = RAMP_STEPS) -> complex:
+def central_branch(sym: SymmetricParams, delta_b: float) -> complex:
     """Central eigenvalue branch at delta_b, continued from zero.
 
-    The perturbation is ramped from 0 to delta_b in `steps` steps and the
+    The perturbation is ramped from 0 to delta_b in RAMP_STEPS steps and the
     branch is tracked by nearest-neighbor continuation in the
     trace-centered frame.  The batch picks the branch, the scalar gives
     the value: the ramp is solved in one batched call, and the result is
@@ -148,12 +140,11 @@ def central_branch(sym: SymmetricParams, delta_b: float,
     """
     if delta_b == 0.0:
         return 0j
-    ramp = delta_b * np.linspace(0.0, 1.0, steps + 1)[1:]
+    ramp = delta_b * np.linspace(0.0, 1.0, RAMP_STEPS + 1)[1:]
     return _closed_form(sym, ramp[-1], _track(sym, ramp)[-1])
 
 
-def exact_eigenshift(sym: SymmetricParams, pert: Perturbation,
-                     tol: float = DEFAULT_TOL) -> float:
+def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
     """Shift of the central eigenvalue (MHz) under a rigid perturbation.
 
     Solves the perturbed characteristic cubic exactly through the closed
@@ -161,12 +152,11 @@ def exact_eigenshift(sym: SymmetricParams, pert: Perturbation,
     eigenvalue at zero, and returns the real (frequency) part of its
     trace-centered shift in MHz.
     """
-    sym.require_manifold(tol)
+    sym.require_manifold()
     return to_mhz(central_branch(sym, pert.delta_b).real)
 
 
-def eigenshift_sweep(sym: SymmetricParams, delta_bs,
-                     tol: float = DEFAULT_TOL) -> np.ndarray:
+def eigenshift_sweep(sym: SymmetricParams, delta_bs) -> np.ndarray:
     """Central-branch shifts (MHz) along a delta_b axis.
 
     Continuation runs along the sweep axis.  The branch is ramped from
@@ -180,7 +170,7 @@ def eigenshift_sweep(sym: SymmetricParams, delta_bs,
     point wherever both follow the same branch.  delta_bs is in rad/us;
     zeros give zero shift.
     """
-    sym.require_manifold(tol)
+    sym.require_manifold()
     bs = np.asarray(delta_bs, dtype=float)
     out = np.zeros(bs.size)
     runs, prev = [], 0.0
@@ -201,29 +191,6 @@ def eigenshift_sweep(sym: SymmetricParams, delta_bs,
     return out
 
 
-def delta_b_of_shift(sym: SymmetricParams, omega_prime: float,
-                     tol: float = DEFAULT_TOL) -> float:
-    """First-order inverse map: eigenvalue shift -> perturbation (rad/us).
-
-    delta_b = Om'*(Om'^2 + g^2)*(Om'^2 - r) /
-              [g^4 + 2*Om'^2*(Om'^2 + 2 g^2) - r*(4*Om'^2 + g^2)]
-
-    with r = 3g^2 - 4gamma^2.  Valid to first order in the perturbation;
-    the denominator can vanish at isolated shifts outside the small-shift
-    regime, which is reported rather than regularized.
-    """
-    sym.require_manifold(tol)
-    g2 = sym.g * sym.g
-    r = 3.0 * g2 - 4.0 * sym.gamma * sym.gamma
-    op2 = omega_prime * omega_prime
-    numerator = omega_prime * (op2 + g2) * (op2 - r)
-    denominator = g2 * g2 + 2.0 * op2 * (op2 + 2.0 * g2) - r * (4.0 * op2 + g2)
-    if denominator == 0.0:
-        raise ZeroDivisionError(
-            "first-order response denominator vanishes at this shift")
-    return numerator / denominator
-
-
 def cube_root_response(g_ep3: float, delta_b: float) -> float:
     """Shift of the central branch at the degeneracy: g**(2/3)*delta_b**(1/3)."""
     if delta_b < 0:
@@ -231,14 +198,13 @@ def cube_root_response(g_ep3: float, delta_b: float) -> float:
     return g_ep3 ** (2.0 / 3.0) * delta_b ** (1.0 / 3.0)
 
 
-def linear_response(sym: SymmetricParams, delta_b: float,
-                    tol: float = DEFAULT_TOL) -> float:
+def linear_response(sym: SymmetricParams, delta_b: float) -> float:
     """Small-shift linear law away from the degeneracy.
 
     delta_omega = (1 - g^2/(3g^2 - 4gamma^2)) * delta_b; the coefficient
     diverges at the degeneracy, where the cube-root law applies instead.
     """
-    sym.require_manifold(tol)
+    sym.require_manifold()
     r = 3.0 * sym.g * sym.g - 4.0 * sym.gamma * sym.gamma
     if abs(r) <= 1e-9 * sym.gamma * sym.gamma:
         raise ValidationError(
@@ -271,19 +237,17 @@ def synthetic_sensitivity(g_cpa: float, g_ep3: float) -> float:
     return g_cpa * g_ep3
 
 
-def detectable_b_min(delta_a_db: float, g_syn: float,
-                     gamma_e_ghz_per_t: float = GAMMA_E_GHZ_PER_T) -> float:
+def detectable_b_min(delta_a_db: float, g_syn: float) -> float:
     """Smallest detectable field change (tesla).
 
     delta_b_min = delta_a / (nu_e * G_syn) with nu_e the gyromagnetic
-    ratio expressed in MHz per tesla.
+    ratio GAMMA_E_GHZ_PER_T expressed in MHz per tesla.
     """
-    if delta_a_db <= 0 or gamma_e_ghz_per_t <= 0:
-        raise ValidationError("delta_a and gamma_e must be > 0")
+    if delta_a_db <= 0:
+        raise ValidationError("delta_a must be > 0")
     if g_syn <= 0:
         raise ValidationError("g_syn must be > 0")
-    nu_e_mhz_per_t = gamma_e_ghz_per_t * 1e3
-    return delta_a_db / (nu_e_mhz_per_t * g_syn)
+    return delta_a_db / (GAMMA_E_GHZ_PER_T * 1e3 * g_syn)
 
 
 @dataclass(frozen=True)
@@ -374,20 +338,19 @@ class SensitivityChain:
     kappa1: float
     kappa2: float
     floor_db: float
-    grid_mhz: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "delta_b",
                            np.atleast_1d(np.asarray(self.delta_b, dtype=float)))
 
     @classmethod
-    def at_ep3(cls, gamma: float, delta_b, kappa1: float, kappa2: float,
-               floor_db: float,
-               grid_mhz: np.ndarray | None = None) -> SensitivityChain:
-        """The chain at the third-order degeneracy of damping gamma (rad/us)."""
+    def at_ep3(cls, delta_b, floor_db: float) -> SensitivityChain:
+        """The chain at the third-order degeneracy of the device point
+        (GAMMA_MHZ, KAPPA1_MHZ, KAPPA2_MHZ)."""
+        gamma = mhz(GAMMA_MHZ)
         point = locate_ep3(gamma)
         sym = SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
-        return cls(sym, delta_b, kappa1, kappa2, floor_db, grid_mhz)
+        return cls(sym, delta_b, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), floor_db)
 
     @cached_property
     def delta_omega(self) -> np.ndarray:
@@ -398,8 +361,7 @@ class SensitivityChain:
     def dips(self) -> list[DipReport]:
         """Dip of each perturbed absorption spectrum, located in the lab frame."""
         return [spectrum_dip(self.sym, self.kappa1, self.kappa2, mhz(b),
-                             self.floor_db, self.grid_mhz)
-                for b in self.delta_b]
+                             self.floor_db) for b in self.delta_b]
 
     @cached_property
     def dip_db(self) -> np.ndarray:
@@ -434,9 +396,9 @@ class SensitivityChain:
         return np.array([synthetic_sensitivity(gcpa, gep3)
                          for gep3, gcpa in zip(self.g_ep3, self.g_cpa)])
 
-    def delta_b_min(self, delta_a_db: float = RESOLVABLE_DB,
-                    gamma_e_ghz_per_t: float = GAMMA_E_GHZ_PER_T) -> np.ndarray:
-        """Smallest detectable field change (tesla) at each point.
+    def delta_b_min(self) -> np.ndarray:
+        """Smallest detectable field change (tesla) at each point, for a
+        resolvable spectrum change of RESOLVABLE_DB.
 
         A dip clamped at the floor is a numerical limit, not an input
         error: FloorClampError names the first such delta_b.
@@ -447,18 +409,12 @@ class SensitivityChain:
             raise FloorClampError(
                 f"perturbed dip at delta_b = {b:g} MHz is clamped at the "
                 f"{self.floor_db:g} dB floor: its contrast is not resolved")
-        return np.array([detectable_b_min(delta_a_db, gsyn, gamma_e_ghz_per_t)
+        return np.array([detectable_b_min(RESOLVABLE_DB, gsyn)
                          for gsyn in g_syn])
 
 
 def sensitivity_report(delta_b_mhz: float,
-                       floor_db: float = EXPERIMENTAL_FLOOR_DB,
-                       gamma_mhz: float = 3.0,
-                       kappa1_mhz: float = 4.0,
-                       kappa2_mhz: float = 4.0,
-                       delta_a_db: float = RESOLVABLE_DB,
-                       gamma_e_ghz_per_t: float = GAMMA_E_GHZ_PER_T,
-                       grid_mhz: np.ndarray | None = None) -> SensitivityReport:
+                       floor_db: float = EXPERIMENTAL_FLOOR_DB) -> SensitivityReport:
     """The sensitivity chain at one field change, at the degeneracy.
 
     The eigenvalue shift comes from the exact cubic, the degeneracy factor
@@ -466,17 +422,15 @@ def sensitivity_report(delta_b_mhz: float,
     absorption spectrum refined by golden section; the unperturbed dip sits
     at the configured floor because its model value is an exact zero.
 
-    g_cpa is the model's contrast at the given gamma, kappa1 and kappa2,
-    and it changes with the port rates.  The paper's g_cpa = 32.1 dB/MHz
+    g_cpa is the model's contrast at the device point GAMMA_MHZ,
+    KAPPA1_MHZ and KAPPA2_MHZ, and it changes with the port rates.  The paper's g_cpa = 32.1 dB/MHz
     comes from a 21.5 dB dip change measured on the device, not from this
     model.
     """
     if not delta_b_mhz > 0:
         raise ValidationError("delta_b must be > 0")
-    chain = SensitivityChain.at_ep3(mhz(gamma_mhz), delta_b_mhz,
-                                    mhz(kappa1_mhz), mhz(kappa2_mhz),
-                                    floor_db, grid_mhz)
-    bmin = chain.delta_b_min(delta_a_db, gamma_e_ghz_per_t)
+    chain = SensitivityChain.at_ep3(delta_b_mhz, floor_db)
+    bmin = chain.delta_b_min()
     return SensitivityReport(
         delta_b=delta_b_mhz,
         delta_omega=float(chain.delta_omega[0]),

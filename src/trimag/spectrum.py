@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .params import (
-    DEFAULT_TOL,
     DriveParams,
     SymmetricParams,
     SystemParams,
@@ -42,6 +41,9 @@ EXPERIMENTAL_FLOOR_DB = -91.5
 #: treated as a scattering pole: the gain-compensated system would
 #: self-oscillate there, and the point is flagged instead of evaluated.
 POLE_TOL = 1e-12
+
+#: bracket width to which find_dip refines a dip, MHz
+DIP_WIDTH_MHZ = 1e-6
 
 CSV_HEADER = "omega_mhz,s_tot_linear,s_tot_db"
 
@@ -95,22 +97,6 @@ def _denominator(params: SystemParams, omega):
     return m, n, den
 
 
-def scattering_coeffs(params: SystemParams, omega: float):
-    """(t12, t21, r11, r22) at probe offset omega (rad/us)."""
-    _, _, den = _denominator(params, omega)
-    t = -2.0 * math.sqrt(params.kappa1 * params.kappa2) / den
-    r11 = -1.0 - 2.0 * params.kappa1 / den
-    r22 = -1.0 - 2.0 * params.kappa2 / den
-    return t, t, r11, r22
-
-
-def output_amplitudes(params: SystemParams, drive: DriveParams, omega: float):
-    """Port output amplitudes (S1, S2) for a unit drive at port 2."""
-    t12, t21, r11, r22 = scattering_coeffs(params, omega)
-    x = drive.amplitude
-    return r11 * x + t12, r22 + t21 * x
-
-
 def total_output(params: SystemParams, drive: DriveParams, omega) -> float:
     """|S1|^2 + |S2|^2 at probe offset omega (rad/us); vectorized."""
     m, n, den = _denominator(params, omega)
@@ -162,7 +148,14 @@ def to_db(values, floor_db: float):
     return 10.0 * np.log10(np.maximum(values, floor_linear))
 
 
-def _make_trace(grid_mhz: np.ndarray, evaluate, floor_db: float) -> SpectrumTrace:
+def total_output_spectrum(params: SystemParams, drive: DriveParams,
+                          grid_mhz: Sequence[float],
+                          floor_db: float = DEFAULT_FLOOR_DB) -> SpectrumTrace:
+    """Sample |S_tot|^2 over a probe grid given in MHz.
+
+    The grid is evaluated in one call; if it holds a scattering pole, each
+    point is evaluated alone and the poles are flagged in pole_mask.
+    """
     grid_mhz = np.asarray(grid_mhz, dtype=float)
     if grid_mhz.size == 0:
         raise ValidationError("probe grid is empty")
@@ -171,11 +164,11 @@ def _make_trace(grid_mhz: np.ndarray, evaluate, floor_db: float) -> SpectrumTrac
     values = np.empty(grid_mhz.size, dtype=float)
     poles = np.zeros(grid_mhz.size, dtype=bool)
     try:
-        values[:] = evaluate(mhz(grid_mhz))
+        values[:] = total_output(params, drive, mhz(grid_mhz))
     except ScatteringPoleError:
         for i, nu in enumerate(grid_mhz):
             try:
-                values[i] = evaluate(mhz(nu))
+                values[i] = total_output(params, drive, mhz(nu))
             except ScatteringPoleError:
                 values[i] = math.nan
                 poles[i] = True
@@ -185,46 +178,9 @@ def _make_trace(grid_mhz: np.ndarray, evaluate, floor_db: float) -> SpectrumTrac
                          floor_db=floor_db, pole_mask=poles)
 
 
-def total_output_spectrum(params: SystemParams, drive: DriveParams,
-                          grid_mhz: Sequence[float],
-                          floor_db: float = DEFAULT_FLOOR_DB) -> SpectrumTrace:
-    """Sample |S_tot|^2 over a probe grid given in MHz."""
-    return _make_trace(np.asarray(grid_mhz, dtype=float),
-                       lambda om: total_output(params, drive, om), floor_db)
-
-
-def cpa_spectrum_closed_form(sym: SymmetricParams, kappa1: float, kappa2: float,
-                             grid_mhz: Sequence[float],
-                             floor_db: float = DEFAULT_FLOOR_DB,
-                             tol: float = DEFAULT_TOL) -> SpectrumTrace:
-    """Absorption-drive spectrum on the manifold in closed form.
-
-    |S_tot|^2 = (k1/k2 + 1) * Om^2 (Om^2 - 3g^2 + 4gamma^2)^2
-                / [((Om^2 - g^2)^2 + 4 Om^2 gamma^2) * (m^2 + n^2)]
-
-    whose zeros sit exactly at the real eigenvalues {0, +-sqrt(3g^2-4gamma^2)}.
-    """
-    sym.require_manifold(tol)
-    if kappa2 <= 0:
-        raise ValidationError("kappa2 must be > 0")
-    gsq = sym.g * sym.g
-    gamsq = sym.gamma * sym.gamma
-    params = sym.to_system(kappa1, kappa2)
-
-    def evaluate(om):
-        m, n = mn_functions(params, om)
-        om2 = om * om
-        numerator = om2 * (om2 - 3.0 * gsq + 4.0 * gamsq) ** 2
-        shape = (om2 - gsq) ** 2 + 4.0 * om2 * gamsq
-        return (kappa1 / kappa2 + 1.0) * numerator / (shape * (m * m + n * n))
-
-    return _make_trace(np.asarray(grid_mhz, dtype=float), evaluate, floor_db)
-
-
-def default_grid(span_mhz: float = 10.0, points: int = 2001,
-                 center_mhz: float = 0.0) -> np.ndarray:
+def default_grid(span_mhz: float = 10.0, points: int = 2001) -> np.ndarray:
     """Probe grid used for figure-style traces: points across +-span."""
-    return center_mhz + np.linspace(-span_mhz, span_mhz, points)
+    return np.linspace(-span_mhz, span_mhz, points)
 
 
 @dataclass(frozen=True)
@@ -260,13 +216,12 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 def find_dip(trace: SpectrumTrace,
-             refine: Callable[[float], float],
-             width_mhz: float = 1e-6) -> DipReport:
+             refine: Callable[[float], float]) -> DipReport:
     """Global grid minimum of a trace, refined on the continuous model.
 
     refine maps a probe offset in MHz to the linear model value; the
     bracket around the best grid point is narrowed by golden section to
-    width_mhz.  A trace without a strict minimum is rejected.
+    DIP_WIDTH_MHZ.  A trace without a strict minimum is rejected.
     """
     if trace.grid.size < 3:
         raise ValidationError("dip search needs at least 3 grid points")
@@ -277,16 +232,16 @@ def find_dip(trace: SpectrumTrace,
         raise FlatTraceError("trace has no strict minimum")
     lo = trace.grid[max(i - 1, 0)]
     hi = trace.grid[min(i + 1, trace.grid.size - 1)]
-    x, v, width = golden_section_min(refine, lo, hi, width_mhz)
+    x, v, width = golden_section_min(refine, lo, hi, DIP_WIDTH_MHZ)
     if v > vmin:  # grid point itself was the better minimum
-        x, v, width = trace.grid[i], vmin, width_mhz
+        x, v, width = trace.grid[i], vmin, DIP_WIDTH_MHZ
     return DipReport(dip_location=float(x),
                      dip_value_db=float(to_db(v, trace.floor_db)),
                      refinement_width=float(width))
 
 
 def perturbed_system(sym: SymmetricParams, kappa1: float, kappa2: float,
-                     delta_b: float, tol: float = DEFAULT_TOL) -> SystemParams:
+                     delta_b: float) -> SystemParams:
     """Manifold system with both magnon frequencies shifted rigidly.
 
     A magnetic-field change moves both magnon lines by the same delta_b
@@ -294,14 +249,13 @@ def perturbed_system(sym: SymmetricParams, kappa1: float, kappa2: float,
     while couplings, dampings and the port drive stay at their balanced
     values.
     """
-    sym.require_manifold(tol)
+    sym.require_manifold()
     base = sym.to_system(kappa1, kappa2)
     return SystemParams(
         kappa1=base.kappa1, kappa2=base.kappa2, kappa_int=base.kappa_int,
         gamma1=base.gamma1, gamma2=base.gamma2,
         g1=base.g1, g2=base.g2,
         delta1=sym.delta + delta_b, delta2=-sym.delta + delta_b,
-        omega_c=base.omega_c,
     )
 
 
@@ -315,12 +269,10 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
 
 def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
                  delta_b: float = 0.0,
-                 floor_db: float = DEFAULT_FLOOR_DB,
-                 grid_mhz: np.ndarray | None = None) -> DipReport:
-    """Dip of the absorption-drive spectrum, optionally under perturbation."""
+                 floor_db: float = DEFAULT_FLOOR_DB) -> DipReport:
+    """Dip of the absorption-drive spectrum on the default grid, optionally
+    under perturbation."""
     params = perturbed_system(sym, kappa1, kappa2, delta_b)
     drive = cpa_drive(params)
-    if grid_mhz is None:
-        grid_mhz = default_grid()
-    trace = total_output_spectrum(params, drive, grid_mhz, floor_db)
+    trace = total_output_spectrum(params, drive, default_grid(), floor_db)
     return find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))

@@ -4,13 +4,104 @@ Each one restates a package quantity by another route, so that agreement
 between the two checks an identity rather than repeating one code path.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from trimag.core import symmetric_hamiltonian
-from trimag.params import DriveParams, SymmetricParams, SystemParams
+from trimag.cubic import ComplexTriple, CubicCoeffs
+from trimag.params import (
+    DEFAULT_TOL,
+    DriveParams,
+    SymmetricParams,
+    SystemParams,
+    mhz,
+)
 from trimag.spectrum import mn_functions
+
+
+def symmetric_hamiltonian(sym: SymmetricParams) -> np.ndarray:
+    """Mode matrix in the symmetric balanced case (gain pinned to 2*gamma)."""
+    return np.array(
+        [[2j * sym.gamma, sym.g, sym.g],
+         [sym.g, sym.delta - 1j * sym.gamma, 0.0],
+         [sym.g, 0.0, -sym.delta - 1j * sym.gamma]],
+        dtype=complex)
+
+
+def max_residual(triple: ComplexTriple, coeffs: CubicCoeffs) -> float:
+    """Largest |x^3 + c1*x + c0| over the three roots."""
+    return max(abs(x * x * x + coeffs.c1 * x + coeffs.c0) for x in triple)
+
+
+def multiset_distance(a: ComplexTriple, b: ComplexTriple) -> float:
+    """Smallest max-elementwise distance over all pairings of two triples."""
+    return min(max(abs(x - y) for x, y in zip(perm, b))
+               for perm in itertools.permutations(a))
+
+
+def ep2_discriminant(coeffs: CubicCoeffs) -> complex:
+    """27*c0**2 + 4*c1**3; zero exactly where two roots merge."""
+    return 27.0 * coeffs.c0 * coeffs.c0 + 4.0 * coeffs.c1 ** 3
+
+
+def is_pseudo_hermitian_spectrum(triple: ComplexTriple) -> bool:
+    """True if the eigenvalue multiset is closed under complex conjugation."""
+    conj = ComplexTriple(*(x.conjugate() for x in triple))
+    scale = max(1.0, max(abs(x) for x in triple))
+    return multiset_distance(triple, conj) <= DEFAULT_TOL * scale
+
+
+def is_symmetric(params: SystemParams) -> bool:
+    """True if the parameters realize the symmetric balanced case.
+
+    Requires equal dampings and couplings, opposite detunings and the
+    gain condition kappa_c == 2*gamma, each to relative tolerance.
+    """
+    tol = DEFAULT_TOL * max(params.gamma1, params.gamma2, params.g1, params.g2,
+                            abs(params.delta1), abs(params.delta2),
+                            params.kappa_c, 1e-30)
+    return (abs(params.gamma1 - params.gamma2) <= tol
+            and abs(params.g1 - params.g2) <= tol
+            and abs(params.delta1 + params.delta2) <= tol
+            and abs(params.kappa_c - 2.0 * params.gamma1) <= tol)
+
+
+def delta_b_of_shift(sym: SymmetricParams, omega_prime: float) -> float:
+    """First-order inverse map: eigenvalue shift -> perturbation (rad/us).
+
+    delta_b = Om'*(Om'^2 + g^2)*(Om'^2 - r) /
+              [g^4 + 2*Om'^2*(Om'^2 + 2 g^2) - r*(4*Om'^2 + g^2)]
+
+    with r = 3g^2 - 4gamma^2.  Valid to first order in the perturbation.
+    """
+    sym.require_manifold()
+    g2 = sym.g * sym.g
+    r = 3.0 * g2 - 4.0 * sym.gamma * sym.gamma
+    op2 = omega_prime * omega_prime
+    numerator = omega_prime * (op2 + g2) * (op2 - r)
+    denominator = g2 * g2 + 2.0 * op2 * (op2 + 2.0 * g2) - r * (4.0 * op2 + g2)
+    return numerator / denominator
+
+
+def cpa_spectrum_closed_form(sym: SymmetricParams, kappa1: float,
+                             kappa2: float, grid_mhz) -> np.ndarray:
+    """Absorption-drive |S_tot|^2 on the manifold in closed form, per probe.
+
+    |S_tot|^2 = (k1/k2 + 1) * Om^2 (Om^2 - 3g^2 + 4gamma^2)^2
+                / [((Om^2 - g^2)^2 + 4 Om^2 gamma^2) * (m^2 + n^2)]
+
+    whose zeros sit exactly at the real eigenvalues {0, +-sqrt(3g^2-4gamma^2)}.
+    """
+    sym.require_manifold()
+    om = mhz(np.asarray(grid_mhz, dtype=float))
+    m, n = mn_functions(sym.to_system(kappa1, kappa2), om)
+    gsq = sym.g * sym.g
+    gamsq = sym.gamma * sym.gamma
+    om2 = om * om
+    numerator = om2 * (om2 - 3.0 * gsq + 4.0 * gamsq) ** 2
+    shape = (om2 - gsq) ** 2 + 4.0 * om2 * gamsq
+    return (kappa1 / kappa2 + 1.0) * numerator / (shape * (m * m + n * n))
 
 
 def total_output_expanded(params: SystemParams, drive: DriveParams, omega):

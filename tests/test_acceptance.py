@@ -13,12 +13,7 @@ from trimag.core import (
     eigenvectors_on_manifold,
     locate_ep3,
 )
-from trimag.cubic import (
-    CubicCoeffs,
-    cardano_roots,
-    companion_roots,
-    multiset_distance,
-)
+from trimag.cubic import CubicCoeffs, cardano_roots, companion_roots
 from trimag.params import DriveParams, SymmetricParams, mhz, to_mhz
 from trimag.sensing import (
     RESOLVABLE_DB,
@@ -38,7 +33,11 @@ from trimag.spectrum import (
 )
 from trimag.figures import generate
 
-from oracles import m_symmetric_form
+from oracles import (
+    is_pseudo_hermitian_spectrum,
+    m_symmetric_form,
+    multiset_distance,
+)
 from test_spectrum import random_system, steady_state_oracle
 
 GAMMA = mhz(3.0)
@@ -141,9 +140,8 @@ def test_criterion_05_sensitivity_chain():
     published bands apply to the measured contrast, not to the model's.
     """
     delta_b_mhz, floor_db, kappa_mhz = 0.025, -91.5, 4.0
-    report = sensitivity_report(delta_b_mhz, floor_db=floor_db,
-                                gamma_mhz=to_mhz(GAMMA), kappa1_mhz=kappa_mhz,
-                                kappa2_mhz=kappa_mhz)
+    # at the device point: gamma = 3 MHz, kappa1 = kappa2 = kappa_mhz
+    report = sensitivity_report(delta_b_mhz, floor_db=floor_db)
 
     # independent dip: dense oracle scan around the tracked eigenvalue's
     # lab-frame frequency (the trace-centred shift plus the 2*delta_b/3 drift)
@@ -258,8 +256,6 @@ def test_criterion_08_response_function_consistency():
 
 
 def test_criterion_09_pseudo_hermitian_symmetry():
-    from trimag.core import is_pseudo_hermitian_spectrum
-
     point = locate_ep3(GAMMA)
     # the manifold needs g >= gamma, so the requested span is clamped to
     # its feasible part [sqrt(3)/2, 2] in units of the degeneracy coupling

@@ -223,6 +223,48 @@ class TestReproduceGoldens:
             (b / "fig3f_gcpa.csv").read_bytes()
 
 
+class TestCliContract:
+    """Bad numbers and unwritable outputs exit 2 with an error line."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag,argv", [
+        ("--span-mhz", ["spectrum", "--g-mhz", "4.59", "--span-mhz", "nan"]),
+        ("--span-mhz", ["spectrum", "--g-mhz", "4.59", "--span-mhz", "inf"]),
+        ("--points", ["spectrum", "--g-mhz", "4.59", "--points", "-3"]),
+        ("--floor-db", ["spectrum", "--g-mhz", "4.59", "--floor-db", "inf",
+                        "--dip"]),
+        ("--floor-db", ["report", "--delta-b-mhz", "0.025", "--floor-db",
+                        "nan"]),
+        ("--delta-b-mhz", ["report", "--delta-b-mhz", "inf"]),
+    ], ids=["span_nan", "span_inf", "points_negative", "spectrum_floor_inf",
+            "report_floor_nan", "report_delta_b_inf"])
+    def test_bad_number_exits_two_naming_the_flag(self, tmp_path, capsys,
+                                                  flag, argv):
+        out = tmp_path / "out.txt"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["report", "--delta-b-mhz", "0.025", "--out", "missing/report.json"],
+        ["sweep", "--points", "3", "--out", "missing/sweep.csv"],
+        ["spectrum", "--g-mhz", "4.59", "--points", "51",
+         "--out", "missing/trace.csv"],
+        ["reproduce", "fig2", "--outdir", "taken"],
+    ], ids=["report", "sweep", "spectrum", "reproduce_onto_a_file"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        (tmp_path / "taken").write_text("a file, not a directory")
+        argv = [str(tmp_path / a) if a.startswith(("missing/", "taken"))
+                else a for a in argv]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         root = Path(__file__).resolve().parents[1]

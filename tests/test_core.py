@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from trimag.core import (
-    build_hamiltonian,
     cubic_coeffs,
     eigenvalues_on_manifold,
     eigenvectors_on_manifold,
-    is_pseudo_hermitian_spectrum,
     locate_ep3,
-    symmetric_hamiltonian,
 )
 from trimag.cubic import CubicCoeffs, ComplexTriple, cardano_roots, companion_roots
 from trimag.params import SymmetricParams, SystemParams, ValidationError, mhz, to_mhz
 
-from oracles import eigen_residual
+from oracles import (
+    eigen_residual,
+    is_pseudo_hermitian_spectrum,
+    is_symmetric,
+    multiset_distance,
+)
 
 GAMMA = mhz(3.0)
 
@@ -23,45 +25,6 @@ GAMMA = mhz(3.0)
 def ep3_params(gamma=GAMMA):
     point = locate_ep3(gamma)
     return SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
-
-
-class TestBuildHamiltonian:
-    def test_experimental_point(self):
-        params = SystemParams(
-            kappa1=mhz(4), kappa2=mhz(4), kappa_int=mhz(2),
-            gamma1=GAMMA, gamma2=GAMMA,
-            g1=mhz(3.46), g2=mhz(3.46),
-            delta1=mhz(1.73), delta2=-mhz(1.73))
-        h = build_hamiltonian(params)
-        assert h[0, 0] == pytest.approx(1j * mhz(6))
-        assert h[1, 2] == 0 and h[2, 1] == 0
-        assert h[0, 1] == h[1, 0] == pytest.approx(mhz(3.46))
-
-    def test_zero_params_zero_matrix(self):
-        params = SystemParams(0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert np.all(build_hamiltonian(params) == 0)
-
-    def test_trace_identity(self):
-        params = SystemParams(
-            kappa1=mhz(5), kappa2=mhz(2), kappa_int=mhz(1),
-            gamma1=mhz(2.5), gamma2=mhz(1.5),
-            g1=mhz(3), g2=mhz(1), delta1=mhz(2), delta2=mhz(-0.7))
-        tr = np.trace(build_hamiltonian(params))
-        expected = (1j * params.kappa_c - 1j * (params.gamma1 + params.gamma2)
-                    + params.delta1 + params.delta2)
-        assert tr == pytest.approx(expected)
-
-    def test_symmetric_trace_is_purely_gain_imbalance(self):
-        sym = SymmetricParams.manifold_point(GAMMA, mhz(4.0))
-        tr = np.trace(symmetric_hamiltonian(sym))
-        assert tr == pytest.approx(0.0)  # kappa_c = 2*gamma exactly
-        # unbalanced gain: trace = i*(kappa_c - 2*gamma)
-        params = SystemParams(
-            kappa1=mhz(5), kappa2=mhz(4), kappa_int=mhz(1),
-            gamma1=GAMMA, gamma2=GAMMA, g1=mhz(4), g2=mhz(4),
-            delta1=mhz(2), delta2=mhz(-2))
-        tr = np.trace(build_hamiltonian(params))
-        assert tr == pytest.approx(1j * (params.kappa_c - 2 * GAMMA))
 
 
 class TestCubicCoeffs:
@@ -103,7 +66,6 @@ class TestManifoldEigenvalues:
         assert values.omega2 == -values.omega1
         # closed form agrees with the characteristic cubic
         cubic = cardano_roots(cubic_coeffs(sym))
-        from trimag.cubic import multiset_distance
         assert multiset_distance(values, cubic) <= 1e-9 * GAMMA
 
     def test_branch_convention(self):
@@ -217,11 +179,11 @@ class TestSymmetricPredicate:
             kappa1=mhz(4), kappa2=mhz(4), kappa_int=mhz(2),
             gamma1=GAMMA, gamma2=GAMMA, g1=mhz(3.46), g2=mhz(3.46),
             delta1=mhz(1.73), delta2=mhz(-1.73))
-        assert params.is_symmetric()
+        assert is_symmetric(params)
 
     def test_detects_asymmetry(self):
         params = SystemParams(
             kappa1=mhz(4), kappa2=mhz(4), kappa_int=mhz(2),
             gamma1=GAMMA, gamma2=mhz(3.5), g1=mhz(3.46), g2=mhz(3.46),
             delta1=mhz(1.73), delta2=mhz(-1.73))
-        assert not params.is_symmetric()
+        assert not is_symmetric(params)

@@ -13,11 +13,10 @@ from trimag.cubic import (
     cardano_roots,
     cardano_roots_batch,
     companion_roots,
-    ep2_discriminant,
     match_to_previous,
-    max_residual,
-    multiset_distance,
 )
+
+from oracles import ep2_discriminant, max_residual, multiset_distance
 
 
 def random_coeffs(rng):

@@ -1,6 +1,7 @@
 """Array figure pipelines against the per-point code they replaced."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,42 +37,57 @@ def surfaces_per_point(gamma, g_grid, d_grid):
     return np.array(out)
 
 
-def ep2_locus_per_delta(gamma_mhz, delta_mhz, u_cubed=None):
-    """The per-detuning np.roots solve of the EP2 locus.
-
-    u**3 of a scalar is libm's pow, which the array power need not match
-    in the last bit; u_cubed passes the array's value in instead.
-    """
+def ep2_locus_per_delta(gamma_mhz, delta_mhz):
+    """The per-detuning np.roots solve of the EP2 locus, on the array
+    code's coefficients."""
     gam2 = gamma_mhz * gamma_mhz
-    u = 3.0 * gam2 - delta_mhz * delta_mhz
-    v = delta_mhz * delta_mhz + gam2
-    coeffs = [-32.0, 48.0 * u - 108.0 * gam2,
-              -24.0 * u * u + 216.0 * gam2 * v,
-              4.0 * (u ** 3 if u_cubed is None else u_cubed)
-              - 108.0 * gam2 * v * v]
+    s = delta_mhz * delta_mhz
+    w = 9.0 * gam2 + s
+    coeffs = [-32.0, 12.0 * (3.0 * gam2 - 4.0 * s),
+              24.0 * s * (15.0 * gam2 - s), -4.0 * s * (w * w)]
     g = sorted(math.sqrt(t.real) for t in np.roots(coeffs)
                if abs(t.imag) <= 1e-9 * max(1.0, abs(t)) and t.real > 0)
     return g + [math.nan] * (3 - len(g))
 
 
-def ep2_locus_reference(gamma_mhz, deltas):
-    u_cubed = (3.0 * (gamma_mhz * gamma_mhz) - deltas * deltas) ** 3
-    return [ep2_locus_per_delta(gamma_mhz, d, c) for d, c in zip(deltas, u_cubed)]
+def ep2_discriminant_exact(gamma_mhz, delta_mhz, g_mhz):
+    """27*c0^2 + 4*c1^3 of the symmetric cubic and its t = g^2 derivative,
+    in exact rationals from the unfactored coefficients."""
+    gam2 = Fraction(gamma_mhz) ** 2
+    s = Fraction(delta_mhz) ** 2
+    t = Fraction(g_mhz) ** 2
+    a = s + gam2 - t          # c0 = 2i*gamma*a
+    b = 3 * gam2 - 2 * t - s  # c1 = b
+    return -108 * gam2 * a * a + 4 * b ** 3, 216 * gam2 * a - 24 * b * b, t
 
 
 DELTAS = np.concatenate([np.linspace(-5.0, 5.0, 201),
-                         np.random.default_rng(5).uniform(-8.0, 8.0, 300)])
+                         np.random.default_rng(5).uniform(-8.0, 8.0, 300),
+                         [1e-9, -3e-7]])
 
 
 @pytest.mark.parametrize("gamma_mhz", [GAMMA_MHZ, 0.7, 2.5])
-def test_ep2_locus_matches_per_delta_roots(gamma_mhz):
+def test_ep2_locus_roots_are_exact_to_rounding(gamma_mhz):
+    # the relative Newton step |D/(t*D')| of the exact discriminant bounds
+    # each root's relative error; near the EP3 cusp the double root of D
+    # in t allows about sqrt(eps)
     got = ep2_locus_g(gamma_mhz, DELTAS)
-    # the grid holds delta = 0, where the constant term vanishes
-    assert 0.0 in DELTAS
-    assert np.array_equal(got, ep2_locus_reference(gamma_mhz, DELTAS),
-                          equal_nan=True)
-    assert np.allclose(got, [ep2_locus_per_delta(gamma_mhz, d) for d in DELTAS],
-                       rtol=1e-12, atol=0.0, equal_nan=True)
+    for d, row in zip(DELTAS, got):
+        for g in row[np.isfinite(row)]:
+            value, slope, t = ep2_discriminant_exact(gamma_mhz, d, g)
+            assert abs(value) <= 1e-7 * abs(slope) * t
+
+
+@pytest.mark.parametrize("gamma_mhz", [GAMMA_MHZ, 0.7, 7.56])
+def test_ep2_locus_small_detuning_law(gamma_mhz):
+    # g = sqrt(3*gamma*|delta|)*(1 - |delta|/(6*gamma) + ...); at delta = 0
+    # the double root t = 0 is no EP2 point, so only g > gamma is left
+    for delta in gamma_mhz * np.geomspace(1e-12, 1e-6, 7):
+        for d in (delta, -delta):
+            g = ep2_locus_g(gamma_mhz, d)[0, 0]
+            assert g == pytest.approx(math.sqrt(3 * gamma_mhz * delta), rel=1e-6)
+    assert np.all(np.nan_to_num(ep2_locus_g(gamma_mhz, 0.0), nan=math.inf)
+                  > gamma_mhz)
 
 
 @pytest.mark.parametrize("gamma_mhz,delta_mhz", [
@@ -79,16 +95,14 @@ def test_ep2_locus_matches_per_delta_roots(gamma_mhz):
     (9.640341641165211, 8.5400585081157e-08),
 ])
 def test_ep2_locus_with_rounded_away_constant_term(gamma_mhz, delta_mhz):
-    # rounding can zero the constant term alone; np.roots then solves the
-    # quadratic, whose small root differs from the 3x3 eigensolve's
-    deltas = np.array([delta_mhz])
-    assert np.array_equal(ep2_locus_g(gamma_mhz, deltas),
-                          ep2_locus_reference(gamma_mhz, deltas),
+    # the expanded constant term 4u^3 - 108*gamma^2*v^2 (u = 3*gamma^2 -
+    # delta^2, v = delta^2 + gamma^2) cancelled to about 1e-13 here, which
+    # put the small root at g ~ 2e-7; the factored form keeps it
+    got = ep2_locus_g(gamma_mhz, np.array([delta_mhz]))
+    assert np.array_equal(got[0], ep2_locus_per_delta(gamma_mhz, delta_mhz),
                           equal_nan=True)
-
-
-def test_ep2_locus_scalar_input_gives_one_row():
-    assert ep2_locus_g(GAMMA_MHZ, 1.0).shape == (1, 3)
+    assert got[0, 0] == pytest.approx(math.sqrt(3 * gamma_mhz * delta_mhz),
+                                      rel=1e-6)
 
 
 def manifold_rows_per_point(gamma_mhz, axis, values):
@@ -123,17 +137,14 @@ def test_surfaces_match_per_point_loop(gamma_mhz, g_grid, d_grid):
 
 
 def test_ep2_locus_matches_per_delta_roots():
-    rng = np.random.default_rng(5)
-    deltas = np.concatenate([np.linspace(-5.0, 5.0, 201),
-                             rng.uniform(-8.0, 8.0, 300), [0.0]])
+    # the grid holds delta = 0, where the constant and linear terms vanish
+    assert 0.0 in DELTAS
     for gamma_mhz in (GAMMA_MHZ, 0.7, 2.5):
-        got = ep2_locus_g(gamma_mhz, deltas)
-        assert got.shape == (deltas.size, 3)
-        for d, row in zip(deltas, got):
-            expected = ep2_locus_per_delta(gamma_mhz, d)
-            padded = expected + [math.nan] * (3 - len(expected))
-            # the per-delta u**3 is libm pow, the array one need not be
-            assert np.allclose(row, padded, rtol=1e-12, atol=0, equal_nan=True)
+        got = ep2_locus_g(gamma_mhz, DELTAS)
+        assert got.shape == (DELTAS.size, 3)
+        assert np.array_equal(
+            got, [ep2_locus_per_delta(gamma_mhz, d) for d in DELTAS],
+            equal_nan=True)
 
 
 def test_ep2_locus_scalar_input_gives_one_row():

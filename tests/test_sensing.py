@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimag.core import locate_ep3, symmetric_hamiltonian
+from trimag.core import locate_ep3
 from trimag.cubic import CubicCoeffs, cardano_roots
 from trimag.params import SymmetricParams, ValidationError, mhz, to_mhz
 from trimag.spectrum import FloorClampError
@@ -19,7 +19,6 @@ from trimag.sensing import (
     _select_central,
     central_branch,
     cube_root_response,
-    delta_b_of_shift,
     detectable_b_min,
     eigenshift_sweep,
     exact_eigenshift,
@@ -27,10 +26,11 @@ from trimag.sensing import (
     g_cpa_factor,
     g_ep3_factor,
     linear_response,
-    perturbed_hamiltonian,
     sensitivity_report,
     synthetic_sensitivity,
 )
+
+from oracles import delta_b_of_shift
 
 GAMMA = mhz(3.0)
 
@@ -73,34 +73,6 @@ FIGURE_GRIDS = {
 # coefficients, not delta_b, picks the ramp's branch at the degeneracy
 DELTA_B_MHZ = st.one_of(st.just(0.0), st.floats(1e-9, 0.3),
                         st.floats(-0.3, -1e-9))
-
-
-class TestPerturbedHamiltonian:
-    def test_zero_perturbation_identity(self):
-        sym = ep3_sym()
-        h = perturbed_hamiltonian(sym, Perturbation(0.0))
-        assert np.allclose(h, symmetric_hamiltonian(sym))
-
-    def test_trace_identity(self):
-        sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
-        b = mhz(0.3)
-        h = perturbed_hamiltonian(sym, Perturbation(b))
-        assert np.trace(h) == pytest.approx(2 * b)
-        ev = np.linalg.eigvals(h)
-        assert np.sum(ev) == pytest.approx(2 * b, abs=1e-9 * GAMMA)
-
-    def test_structure(self):
-        sym = ep3_sym()
-        b = mhz(0.025)
-        h = perturbed_hamiltonian(sym, Perturbation(b))
-        assert h[1, 1] == pytest.approx(sym.delta + b - 1j * GAMMA)
-        assert h[2, 2] == pytest.approx(-sym.delta + b - 1j * GAMMA)
-        assert h[0, 0] == pytest.approx(2j * GAMMA)
-
-    def test_off_manifold_rejected(self):
-        sym = SymmetricParams(gamma=GAMMA, g=mhz(4.0), delta=mhz(3.0))
-        with pytest.raises(ValidationError):
-            perturbed_hamiltonian(sym, Perturbation(0.1))
 
 
 class TestExactEigenshift:
@@ -306,19 +278,20 @@ class TestSensitivityFactors:
         assert synthetic_sensitivity(0.0, 26.8) == 0.0
 
     def test_detectable_field_anchor(self):
-        assert detectable_b_min(1e-13, 860.0, 28.0) == pytest.approx(
+        assert detectable_b_min(1e-13, 860.0) == pytest.approx(
             4.2e-21, abs=0.2e-21)
 
     def test_detectable_field_inverse_proportionality(self):
-        assert detectable_b_min(1e-13, 1720.0, 28.0) == pytest.approx(
-            detectable_b_min(1e-13, 860.0, 28.0) / 2.0, rel=1e-12)
+        assert detectable_b_min(1e-13, 1720.0) == pytest.approx(
+            detectable_b_min(1e-13, 860.0) / 2.0, rel=1e-12)
 
     def test_detectable_field_unit_identity(self):
-        assert detectable_b_min(1.0, 1.0, 1e-3) == pytest.approx(1.0)
+        # 28 GHz/T is 28e3 MHz/T: 28e3 dB at 1 dB/MHz resolves 1 T
+        assert detectable_b_min(28e3, 1.0) == pytest.approx(1.0)
 
     def test_detectable_field_rejects_zero_sensitivity(self):
         with pytest.raises(ValidationError):
-            detectable_b_min(1e-13, 0.0, 28.0)
+            detectable_b_min(1e-13, 0.0)
 
 
 class TestSlopeFit:
