@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +53,31 @@ QUANTITIES = ("eigenvalues", "dip", "sensitivity")
 AXES = ("g", "delta", "delta_b")
 
 
-def _load_defaults() -> dict:
-    text = resources.files("trimag").joinpath("data/defaults.json").read_text()
-    return json.loads(text)
+def _defaults() -> dict:
+    """The sweep configuration that --config files and flags override.
+
+    A fresh dict per call, because _merge_config updates it in place.
+    """
+    return {
+        "system": {
+            "gamma_mhz": GAMMA_MHZ,
+            # 2*sqrt(3), the EP3 coupling at GAMMA_MHZ as the sweep goldens
+            # were made: locate_ep3 gives 3.464101615137755, one ulp above
+            "g_mhz": 3.4641016151377544,
+            "delta_mhz": None,
+            "kappa1_mhz": KAPPA1_MHZ,
+            "kappa2_mhz": KAPPA2_MHZ,
+        },
+        "sweep": {"axis": "g", "start_mhz": 3.0, "stop_mhz": 8.0,
+                  "points": 101},
+        "quantity": "eigenvalues",
+        "floor_db": DEFAULT_FLOOR_DB,
+        "output": {"path": None, "format": "csv"},
+    }
 
 
 def _merge_config(path: str | None, overrides: dict) -> dict:
-    config = _load_defaults()
+    config = _defaults()
     if path:
         try:
             user = json.loads(Path(path).read_text())
@@ -165,8 +182,8 @@ def cmd_ep3(args) -> int:
     point = locate_ep3(mhz(args.gamma_mhz))
     payload = {
         "gamma_mhz": args.gamma_mhz,
-        "g_ep3_mhz": to_mhz(point.g_ep3),
-        "delta_ep3_mhz": to_mhz(point.delta_ep3),
+        "g_ep3_mhz": to_mhz(point.g),
+        "delta_ep3_mhz": to_mhz(point.delta),
     }
     print(f"third-order degeneracy at gamma = {args.gamma_mhz:g} MHz: "
           f"g = {payload['g_ep3_mhz']:.4f} MHz, "

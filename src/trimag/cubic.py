@@ -1,11 +1,10 @@
-"""Depressed complex cubics: closed-form roots and the companion oracle.
+"""Depressed complex cubics: closed-form roots and branch matching.
 
 The eigenvalue problem of the three-mode system reduces to a depressed
 cubic  x**3 + c1*x + c0 = 0  with complex coefficients (the quadratic term
 vanishes because the trace is removed).  The closed form below evaluates
 the classical two-radical solution with a stable branch pairing, then
-Newton-polishes every root.  An independent companion-matrix eigensolve is
-provided as the cross-check oracle.
+Newton-polishes every root.
 """
 
 from __future__ import annotations
@@ -45,10 +44,6 @@ class CubicCoeffs:
     c0: complex
     c1: complex
 
-    def scale(self) -> float:
-        """Natural magnitude of a root, used to normalize residuals."""
-        return max(1.0, abs(self.c0) ** (1.0 / 3.0), abs(self.c1) ** 0.5)
-
 
 @dataclass(frozen=True)
 class ComplexTriple:
@@ -57,9 +52,6 @@ class ComplexTriple:
     omega0: complex
     omega1: complex
     omega2: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.omega0, self.omega1, self.omega2], dtype=complex)
 
     def __iter__(self):
         return iter((self.omega0, self.omega1, self.omega2))
@@ -98,7 +90,8 @@ def cardano_roots(coeffs: CubicCoeffs) -> ComplexTriple:
     quadratic; the larger-magnitude radical is taken through the principal
     cube root and its partner through v = -c1/(3u), which fixes the branch
     pairing unambiguously.  Each root is Newton-polished afterwards so the
-    residual |x^3 + c1 x + c0| stays below RESIDUAL_TOL * scale**3.
+    residual |x^3 + c1 x + c0| stays below RESIDUAL_TOL * scale**3, with
+    scale = max(1, |c0|**(1/3), |c1|**(1/2)) the natural root magnitude.
     """
     c0, c1 = complex(coeffs.c0), complex(coeffs.c1)
     if c0 == 0 and c1 == 0:
@@ -178,16 +171,6 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
                                      _ldexp(c1[vanish, 0], -2 * k))
         roots[vanish] = _ldexp(scaled, k[:, None])
     return roots
-
-
-def companion_roots(coeffs: CubicCoeffs) -> ComplexTriple:
-    """Independent oracle: eigenvalues of the companion matrix."""
-    c = np.array(
-        [[0.0, 0.0, -coeffs.c0],
-         [1.0, 0.0, -coeffs.c1],
-         [0.0, 1.0, 0.0]], dtype=complex)
-    ev = np.linalg.eigvals(c)
-    return ComplexTriple(ev[0], ev[1], ev[2])
 
 
 def match_to_previous(roots: np.ndarray, previous: np.ndarray) -> np.ndarray:

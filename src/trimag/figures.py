@@ -30,8 +30,6 @@ from .spectrum import EXPERIMENTAL_FLOOR_DB
 #: perturbation window of the fig3c response datasets and fits, MHz
 RESPONSE_WINDOW_MHZ = (1e-4, 1e-2)
 
-FIGURES = ("fig2", "fig3c", "fig3d", "fig3f", "fig4")
-
 
 def csv_text(header: str, rows) -> str:
     """The header line, then one line of %.12g values per row of the table."""
@@ -165,7 +163,7 @@ def generate_fig2(outdir: Path) -> list[Path]:
     point = locate_ep3(gamma)
     p = outdir / "fig2_ep3.csv"
     _write_csv(p, "gamma_mhz,g_ep3_mhz,delta_ep3_mhz",
-               [[GAMMA_MHZ, to_mhz(point.g_ep3), to_mhz(point.delta_ep3)]])
+               [[GAMMA_MHZ, to_mhz(point.g), to_mhz(point.delta)]])
     paths.append(p)
 
     columns = "re0_mhz,im0_mhz,re_plus_mhz,im_plus_mhz,re_minus_mhz,im_minus_mhz"
@@ -193,8 +191,7 @@ def response_sweep(g_mhz: float) -> np.ndarray:
 
 def generate_fig3c(outdir: Path) -> list[Path]:
     """Log-log response datasets at and away from the degeneracy."""
-    point = locate_ep3(mhz(GAMMA_MHZ))
-    g_values = [to_mhz(point.g_ep3), 4.59]
+    g_values = [to_mhz(locate_ep3(mhz(GAMMA_MHZ)).g), 4.59]
     rows, fit_rows = [], []
     for g in g_values:
         data = response_sweep(g)
@@ -246,17 +243,21 @@ def generate_fig4(outdir: Path) -> list[Path]:
     return [p]
 
 
+#: figure name -> the function that writes its data files
+FIGURES = {
+    "fig2": generate_fig2,
+    "fig3c": generate_fig3c,
+    "fig3d": generate_fig3d,
+    "fig3f": generate_fig3f,
+    "fig4": generate_fig4,
+}
+
+
 def generate(figure: str, outdir: str | Path) -> list[Path]:
     """Write the data files for one figure name into outdir."""
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r}; "
+                         f"choose from {tuple(FIGURES)}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    dispatch = {
-        "fig2": generate_fig2,
-        "fig3c": generate_fig3c,
-        "fig3d": generate_fig3d,
-        "fig3f": generate_fig3f,
-        "fig4": generate_fig4,
-    }
-    if figure not in dispatch:
-        raise ValueError(f"unknown figure {figure!r}; choose from {FIGURES}")
-    return dispatch[figure](outdir)
+    return FIGURES[figure](outdir)

@@ -347,10 +347,8 @@ class SensitivityChain:
     def at_ep3(cls, delta_b, floor_db: float) -> SensitivityChain:
         """The chain at the third-order degeneracy of the device point
         (GAMMA_MHZ, KAPPA1_MHZ, KAPPA2_MHZ)."""
-        gamma = mhz(GAMMA_MHZ)
-        point = locate_ep3(gamma)
-        sym = SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
-        return cls(sym, delta_b, mhz(KAPPA1_MHZ), mhz(KAPPA2_MHZ), floor_db)
+        return cls(locate_ep3(mhz(GAMMA_MHZ)), delta_b, mhz(KAPPA1_MHZ),
+                   mhz(KAPPA2_MHZ), floor_db)
 
     @cached_property
     def delta_omega(self) -> np.ndarray:
@@ -375,7 +373,7 @@ class SensitivityChain:
     @cached_property
     def g_ep3(self) -> np.ndarray:
         """Degeneracy factor; it and g_syn exist only at the degeneracy."""
-        g_ep3 = locate_ep3(self.sym.gamma, verify=False).g_ep3
+        g_ep3 = locate_ep3(self.sym.gamma).g
         if abs(self.sym.g - g_ep3) > DEFAULT_TOL * g_ep3:
             raise ValidationError(
                 f"sensitivity factors need the third-order degeneracy, "

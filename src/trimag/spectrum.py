@@ -21,7 +21,7 @@ coherent perfect absorption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,18 +133,24 @@ class SpectrumTrace:
     values: np.ndarray
     values_db: np.ndarray
     floor_db: float
-    pole_mask: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.pole_mask is None:
-            object.__setattr__(self, "pole_mask",
-                               np.zeros(len(self.grid), dtype=bool))
+    pole_mask: np.ndarray
 
 
 def to_db(values, floor_db: float):
-    """Linear power -> dB, clamped from below at floor_db."""
+    """Linear power -> dB, clamped from below at floor_db.
+
+    A floor whose linear value 10**(floor_db/10) overflows or underflows
+    to zero clamps nothing meaningful and is rejected.
+    """
     values = np.asarray(values, dtype=float)
-    floor_linear = 10.0 ** (floor_db / 10.0)
+    try:
+        floor_linear = 10.0 ** (floor_db / 10.0)
+    except OverflowError:
+        floor_linear = math.inf
+    if not 0.0 < floor_linear < math.inf:
+        raise ValidationError(f"floor_db = {floor_db!r} dB is out of range: "
+                              f"its linear value is not a positive finite "
+                              f"number")
     return 10.0 * np.log10(np.maximum(values, floor_linear))
 
 

@@ -6,15 +6,18 @@ between the two checks an identity rather than repeating one code path.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from trimag.core import eigenvalues_on_manifold
 from trimag.cubic import ComplexTriple, CubicCoeffs
 from trimag.params import (
     DEFAULT_TOL,
     DriveParams,
     SymmetricParams,
     SystemParams,
+    ValidationError,
     mhz,
 )
 from trimag.spectrum import mn_functions
@@ -27,6 +30,26 @@ def symmetric_hamiltonian(sym: SymmetricParams) -> np.ndarray:
          [sym.g, sym.delta - 1j * sym.gamma, 0.0],
          [sym.g, 0.0, -sym.delta - 1j * sym.gamma]],
         dtype=complex)
+
+
+def as_array(triple: ComplexTriple) -> np.ndarray:
+    """The three roots as a complex array, in their order."""
+    return np.array(list(triple), dtype=complex)
+
+
+def cubic_scale(coeffs: CubicCoeffs) -> float:
+    """Natural magnitude of a root, max(1, |c0|**(1/3), |c1|**(1/2))."""
+    return max(1.0, abs(coeffs.c0) ** (1.0 / 3.0), abs(coeffs.c1) ** 0.5)
+
+
+def companion_roots(coeffs: CubicCoeffs) -> ComplexTriple:
+    """Roots of x**3 + c1*x + c0 as eigenvalues of the companion matrix."""
+    c = np.array(
+        [[0.0, 0.0, -coeffs.c0],
+         [1.0, 0.0, -coeffs.c1],
+         [0.0, 1.0, 0.0]], dtype=complex)
+    ev = np.linalg.eigvals(c)
+    return ComplexTriple(ev[0], ev[1], ev[2])
 
 
 def max_residual(triple: ComplexTriple, coeffs: CubicCoeffs) -> float:
@@ -149,3 +172,48 @@ def eigen_residual(sym: SymmetricParams, value: complex,
     h = symmetric_hamiltonian(sym)
     defect = np.linalg.norm((h - value * np.eye(3)) @ vector)
     return float(defect / max(np.linalg.norm(h), 1e-300))
+
+
+@dataclass(frozen=True)
+class EigentripleWithVectors:
+    """Eigenvalues plus unit-norm eigenvectors (leading entry real-positive)."""
+
+    values: ComplexTriple
+    vectors: np.ndarray  # shape (3, 3); vectors[k] belongs to values[k]
+
+
+def _normalize_leading(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    idx = int(np.flatnonzero(np.abs(v) > 0)[0])
+    phase = v[idx] / abs(v[idx])
+    return v / (phase * np.linalg.norm(v))
+
+
+def eigenvectors_on_manifold(sym: SymmetricParams) -> EigentripleWithVectors:
+    """Closed-form eigenvectors paired with {0, +s, -s} on the manifold.
+
+    For the zero eigenvalue the magnon amplitudes are (-delta - i*gamma)/g
+    and (delta - i*gamma)/g; for +-s each magnon amplitude is
+    g/(+-s -+ delta + i*gamma).  All three collapse to
+    (1, (-1 - i*sqrt(3))/2, (1 - i*sqrt(3))/2)/sqrt(3) at the third-order
+    degeneracy.
+    """
+    values = eigenvalues_on_manifold(sym)
+    gamma, g = sym.gamma, sym.g
+    if g == 0:
+        raise ValidationError("eigenvectors are undefined for g = 0 "
+                              "(manifold then forces gamma = 0 too)")
+    d = complex(sym.delta)
+    s = values.omega1
+
+    v0 = np.array([1.0, (-d - 1j * gamma) / g, (d - 1j * gamma) / g])
+    v_plus = np.array([1.0,
+                       g / (s - d + 1j * gamma),
+                       g / (s + d + 1j * gamma)])
+    v_minus = np.array([1.0,
+                        g / (-s - d + 1j * gamma),
+                        g / (-s + d + 1j * gamma)])
+    vectors = np.stack([_normalize_leading(v0),
+                        _normalize_leading(v_plus),
+                        _normalize_leading(v_minus)])
+    return EigentripleWithVectors(values=values, vectors=vectors)

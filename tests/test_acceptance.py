@@ -8,12 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from trimag.core import (
-    cubic_coeffs,
-    eigenvectors_on_manifold,
-    locate_ep3,
-)
-from trimag.cubic import CubicCoeffs, cardano_roots, companion_roots
+from trimag.core import cubic_coeffs, locate_ep3
+from trimag.cubic import CubicCoeffs, cardano_roots
 from trimag.params import DriveParams, SymmetricParams, mhz, to_mhz
 from trimag.sensing import (
     RESOLVABLE_DB,
@@ -34,6 +30,8 @@ from trimag.spectrum import (
 from trimag.figures import generate
 
 from oracles import (
+    companion_roots,
+    eigenvectors_on_manifold,
     is_pseudo_hermitian_spectrum,
     m_symmetric_form,
     multiset_distance,
@@ -55,13 +53,13 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_ep3_location():
-    locate_ep3(GAMMA)  # warm numpy's small-matrix path before timing
+    locate_ep3(GAMMA)  # warm the call path before timing
     elapsed = math.inf
     for _ in range(3):
         start = time.perf_counter()
         point = locate_ep3(GAMMA)
         elapsed = min(elapsed, time.perf_counter() - start)
-    g_mhz, d_mhz = to_mhz(point.g_ep3), to_mhz(point.delta_ep3)
+    g_mhz, d_mhz = to_mhz(point.g), to_mhz(point.delta)
     ok = (abs(g_mhz - 3.4641) <= 1e-3 and abs(d_mhz - 1.7321) <= 1e-3
           and elapsed < 1e-3)
     _report(1, ok, f"degeneracy at g={g_mhz:.4f}, delta={d_mhz:.4f} MHz "
@@ -70,8 +68,7 @@ def test_criterion_01_ep3_location():
 
 
 def test_criterion_02_triple_degeneracy():
-    point = locate_ep3(GAMMA)
-    sym = SymmetricParams(gamma=GAMMA, g=point.g_ep3, delta=point.delta_ep3)
+    sym = locate_ep3(GAMMA)
 
     # float evaluation confirms both cubic coefficients vanish to rounding
     coeffs = cubic_coeffs(sym)
@@ -99,8 +96,7 @@ def test_criterion_02_triple_degeneracy():
 
 
 def test_criterion_03_eigenshift_anchor():
-    point = locate_ep3(GAMMA)
-    sym = SymmetricParams(gamma=GAMMA, g=point.g_ep3, delta=point.delta_ep3)
+    sym = locate_ep3(GAMMA)
     shift = exact_eigenshift(sym, Perturbation(mhz(0.025)))
     ok = abs(shift - 0.67) <= 0.01
     _report(3, ok, f"central-branch shift {shift:.4f} MHz at 0.025 MHz")
@@ -109,8 +105,7 @@ def test_criterion_03_eigenshift_anchor():
 
 def test_criterion_04_slope_laws():
     start = time.perf_counter()
-    point = locate_ep3(GAMMA)
-    at_ep3 = SymmetricParams(gamma=GAMMA, g=point.g_ep3, delta=point.delta_ep3)
+    at_ep3 = locate_ep3(GAMMA)
     away = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
     window = np.geomspace(1e-4, 1e-2, 50)
     pts_ep3 = [(b, abs(exact_eigenshift(at_ep3, Perturbation(mhz(b)))))
@@ -145,8 +140,7 @@ def test_criterion_05_sensitivity_chain():
 
     # independent dip: dense oracle scan around the tracked eigenvalue's
     # lab-frame frequency (the trace-centred shift plus the 2*delta_b/3 drift)
-    point = locate_ep3(GAMMA)
-    sym = SymmetricParams(gamma=GAMMA, g=point.g_ep3, delta=point.delta_ep3)
+    sym = locate_ep3(GAMMA)
     params = perturbed_system(sym, mhz(kappa_mhz), mhz(kappa_mhz),
                               mhz(delta_b_mhz))
     drive = cpa_drive(params)
@@ -263,10 +257,10 @@ def test_criterion_09_pseudo_hermitian_symmetry():
     worst_imag = 0.0
     all_closed = True
     for ratio in ratios:
-        sym = SymmetricParams.manifold_point(GAMMA, ratio * point.g_ep3)
+        sym = SymmetricParams.manifold_point(GAMMA, ratio * point.g)
         roots = cardano_roots(cubic_coeffs(sym))
         all_closed &= is_pseudo_hermitian_spectrum(roots)
-        if ratio * point.g_ep3 >= point.g_ep3:
+        if ratio * point.g >= point.g:
             worst_imag = max(worst_imag,
                              max(abs(x.imag) for x in roots))
     ok = all_closed and worst_imag <= 1e-9

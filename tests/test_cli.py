@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,35 @@ class TestCliContract:
         assert run_cli([*argv, "--out", str(out)]) == 2
         assert f"error: {flag} must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("floor", ["1e300", "4000", "-1e300"],
+                             ids=["huge", "overflowing", "underflowing"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--g-mhz", "4.59", "--points", "51", "--dip"],
+        ["report", "--delta-b-mhz", "0.025"],
+        ["sweep", "--axis", "delta_b", "--start-mhz", "0.01",
+         "--stop-mhz", "0.05", "--points", "3", "--quantity", "dip"],
+    ], ids=["spectrum", "report", "sweep"])
+    def test_floor_without_linear_value_exits_two(self, tmp_path, capsys,
+                                                  argv, floor):
+        # 10**(floor/10) overflows, or underflows to zero
+        out = tmp_path / "out.txt"
+        assert run_cli([*argv, f"--floor-db={floor}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: floor_db")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", ["1e300", "5e-324"],
+                             ids=["huge", "subnormal"])
+    def test_extreme_damping_locates_ep3(self, capsys, gamma):
+        assert run_cli(["ep3", "--gamma-mhz", gamma]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out[out.index("{"):])
+        assert payload["gamma_mhz"] == float(gamma)
+        assert all(math.isfinite(v) for v in payload.values())
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

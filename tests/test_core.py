@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimag.core import (
     cubic_coeffs,
     eigenvalues_on_manifold,
-    eigenvectors_on_manifold,
     locate_ep3,
 )
-from trimag.cubic import CubicCoeffs, ComplexTriple, cardano_roots, companion_roots
+from trimag.cubic import CubicCoeffs, ComplexTriple, cardano_roots
 from trimag.params import SymmetricParams, SystemParams, ValidationError, mhz, to_mhz
 
 from oracles import (
+    as_array,
+    companion_roots,
     eigen_residual,
+    eigenvectors_on_manifold,
     is_pseudo_hermitian_spectrum,
     is_symmetric,
     multiset_distance,
@@ -23,8 +27,7 @@ GAMMA = mhz(3.0)
 
 
 def ep3_params(gamma=GAMMA):
-    point = locate_ep3(gamma)
-    return SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
+    return locate_ep3(gamma)
 
 
 class TestCubicCoeffs:
@@ -50,7 +53,7 @@ class TestCubicCoeffs:
 class TestManifoldEigenvalues:
     def test_degeneracy_collapses_to_zero(self):
         sym = ep3_params()
-        values = eigenvalues_on_manifold(sym).as_array()
+        values = as_array(eigenvalues_on_manifold(sym))
         assert np.all(np.abs(values) <= 1e-6 * GAMMA)
 
     def test_zero_branch_is_exact(self):
@@ -117,25 +120,47 @@ class TestManifoldEigenvectors:
 class TestLocateEp3:
     def test_reference_damping(self):
         point = locate_ep3(GAMMA)
-        assert to_mhz(point.g_ep3) == pytest.approx(3.4641, abs=1e-3)
-        assert to_mhz(point.delta_ep3) == pytest.approx(1.7321, abs=1e-3)
+        assert to_mhz(point.g) == pytest.approx(3.4641, abs=1e-3)
+        assert to_mhz(point.delta) == pytest.approx(1.7321, abs=1e-3)
 
     def test_algebraic_identity(self):
         point = locate_ep3(math.sqrt(3) / 2)
-        assert point.g_ep3 == pytest.approx(1.0)
-        assert point.delta_ep3 == pytest.approx(0.5)
+        assert point.g == pytest.approx(1.0)
+        assert point.delta == pytest.approx(0.5)
 
     def test_five_mhz_damping_with_coalescence_audit(self):
         point = locate_ep3(mhz(5.0))
-        assert to_mhz(point.g_ep3) == pytest.approx(5.7735, abs=1e-3)
-        assert to_mhz(point.delta_ep3) == pytest.approx(2.8868, abs=1e-3)
-        oracle = companion_roots(CubicCoeffs(0j, 0j)).as_array()
+        assert to_mhz(point.g) == pytest.approx(5.7735, abs=1e-3)
+        assert to_mhz(point.delta) == pytest.approx(2.8868, abs=1e-3)
+        oracle = as_array(companion_roots(CubicCoeffs(0j, 0j)))
         assert np.all(np.abs(oracle) <= 1e-8 * mhz(5.0))
 
     def test_rejects_nonpositive(self):
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValidationError):
                 locate_ep3(bad)
+
+    def test_returns_the_degenerate_parameters(self):
+        point = locate_ep3(GAMMA)
+        assert point == SymmetricParams(GAMMA, 2.0 * GAMMA / math.sqrt(3.0),
+                                        GAMMA / math.sqrt(3.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(log10_gamma_mhz=st.floats(-6.0, 6.0))
+    def test_triple_degeneracy_across_damping(self, log10_gamma_mhz):
+        # eigenvalues and eigenvectors coalesce at every damping, not only
+        # at the device point
+        gamma = mhz(10.0 ** log10_gamma_mhz)
+        point = locate_ep3(gamma)
+        assert point.gamma == gamma
+        assert point.on_manifold()
+        coeffs = cubic_coeffs(point)
+        assert abs(coeffs.c0) <= 1e-12 * gamma ** 3
+        assert abs(coeffs.c1) <= 1e-12 * gamma ** 2
+        vectors = eigenvectors_on_manifold(point).vectors
+        spread = max(np.linalg.norm(vectors[a] - vectors[b])
+                     for a, b in ((0, 1), (0, 2), (1, 2)))
+        assert spread <= 1e-4
 
 
 class TestPseudoHermitianPredicate:
@@ -156,19 +181,19 @@ class TestRegimeSplit:
     def test_reality_above_and_pair_below(self):
         point = locate_ep3(GAMMA)
         for ratio in np.linspace(0.5, 2.0, 200):
-            g = ratio * point.g_ep3
+            g = ratio * point.g
             if g < GAMMA:
                 continue
             sym = SymmetricParams.manifold_point(GAMMA, g)
             roots = cardano_roots(cubic_coeffs(sym))
             assert is_pseudo_hermitian_spectrum(roots)
             imags = sorted(abs(x.imag) for x in roots)
-            if g >= point.g_ep3:
+            if g >= point.g:
                 assert all(i <= 1e-9 for i in imags)
             else:
                 # one real eigenvalue, two forming a conjugate pair
                 assert imags[0] <= 1e-9
-                arr = roots.as_array()
+                arr = as_array(roots)
                 pair = sorted(arr, key=lambda z: abs(z.imag))[1:]
                 assert pair[0].conjugate() == pytest.approx(pair[1], abs=1e-9)
 

@@ -12,11 +12,17 @@ from trimag.cubic import (
     CubicCoeffs,
     cardano_roots,
     cardano_roots_batch,
-    companion_roots,
     match_to_previous,
 )
 
-from oracles import ep2_discriminant, max_residual, multiset_distance
+from oracles import (
+    as_array,
+    companion_roots,
+    cubic_scale,
+    ep2_discriminant,
+    max_residual,
+    multiset_distance,
+)
 
 
 def random_coeffs(rng):
@@ -83,7 +89,7 @@ def test_ep2_discriminant_detects_double_root():
 
 def test_multiset_distance_handles_permutation():
     a = cardano_roots(CubicCoeffs(1.0 + 1j, -2.0 + 0j))
-    b_arr = a.as_array()[[2, 0, 1]]
+    b_arr = as_array(a)[[2, 0, 1]]
     b = ComplexTriple(*b_arr)
     assert multiset_distance(a, b) == 0.0
 
@@ -118,10 +124,10 @@ def test_batch_matches_scalar_and_oracle(rows):
     assert batch.shape == (len(rows), 3)
     for (a0, a1), got in zip(rows, batch):
         coeffs = CubicCoeffs(a0, a1)
-        scale = coeffs.scale()
+        scale = cubic_scale(coeffs)
         triple = ComplexTriple(*got)
         scalar = cardano_roots(coeffs)
-        assert np.max(np.abs(got - scalar.as_array())) <= 1e-12 * scale
+        assert np.max(np.abs(got - as_array(scalar))) <= 1e-12 * scale
         assert max_residual(triple, coeffs) <= RESIDUAL_TOL * scale ** 3
         # the companion eigensolve loses half the digits at a double root
         # (Kahan 1986), so the oracle is held to 1e-9 where roots separate
@@ -157,9 +163,9 @@ def test_vanishing_radicals_scale_back(c1, k, c0):
     # vanish; the roots are 2**k times those of the cubic scaled back
     tiny = CubicCoeffs(complex(c0), c1 * 4.0 ** k)
     unscaled = CubicCoeffs(complex(math.ldexp(c0, -3 * k)), c1)
-    reference = cardano_roots(unscaled).as_array() * 2.0 ** k
-    tol = 1e-12 * unscaled.scale() * 2.0 ** k
-    for got in (cardano_roots(tiny).as_array(),
+    reference = as_array(cardano_roots(unscaled)) * 2.0 ** k
+    tol = 1e-12 * cubic_scale(unscaled) * 2.0 ** k
+    for got in (as_array(cardano_roots(tiny)),
                 cardano_roots_batch([tiny.c0], [tiny.c1])[0]):
         assert np.all(np.isfinite(got))
         assert multiset_distance(ComplexTriple(*got),
@@ -169,7 +175,7 @@ def test_vanishing_radicals_scale_back(c1, k, c0):
 def test_vanishing_radicals_example():
     # x**3 + 1e-120*x = 0 has roots 0 and +-1e-60 i
     expected = ComplexTriple(0j, 1e-60j, -1e-60j)
-    for got in (cardano_roots(CubicCoeffs(0j, 1e-120 + 0j)).as_array(),
+    for got in (as_array(cardano_roots(CubicCoeffs(0j, 1e-120 + 0j))),
                 cardano_roots_batch([0j], [1e-120 + 0j])[0]):
         assert multiset_distance(ComplexTriple(*got), expected) <= 1e-72
 

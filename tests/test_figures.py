@@ -16,6 +16,8 @@ from trimag.figures import (
 )
 from trimag.params import SymmetricParams, ValidationError, mhz, to_mhz
 
+from oracles import as_array
+
 GAMMA_MHZ = 3.0
 
 
@@ -26,7 +28,7 @@ def surfaces_per_point(gamma, g_grid, d_grid):
         prev, row = None, []
         for g in g_grid:
             sym = SymmetricParams(gamma=gamma, g=mhz(g), delta=mhz(d))
-            ev = cardano_roots(cubic_coeffs(sym)).as_array()
+            ev = as_array(cardano_roots(cubic_coeffs(sym)))
             if prev is None:
                 ev = ev[np.lexsort((ev.imag, ev.real))]
             else:
@@ -120,7 +122,7 @@ def manifold_rows_per_point(gamma_mhz, axis, values):
             sym = SymmetricParams(gamma=gamma, delta=mhz(v),
                                   g=math.sqrt(mhz(v) ** 2 + gamma ** 2))
             other = sym.g
-        ev = eigenvalues_on_manifold(sym).as_array()
+        ev = as_array(eigenvalues_on_manifold(sym))
         rows.append([v, to_mhz(other)]
                     + [to_mhz(x) for pair in ev for x in (pair.real, pair.imag)])
     return np.array(rows)

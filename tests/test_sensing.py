@@ -36,8 +36,7 @@ GAMMA = mhz(3.0)
 
 
 def ep3_sym(gamma=GAMMA):
-    point = locate_ep3(gamma)
-    return SymmetricParams(gamma=gamma, g=point.g_ep3, delta=point.delta_ep3)
+    return locate_ep3(gamma)
 
 
 def scalar_ramp_branch(sym, delta_b, steps=RAMP_STEPS):
@@ -207,8 +206,7 @@ class TestResponseLaws:
         assert cube_root_response(mhz(3.4641), 0.0) == 0.0
 
     def test_cube_root_anchor(self):
-        point = locate_ep3(GAMMA)
-        shift = cube_root_response(point.g_ep3, mhz(0.025))
+        shift = cube_root_response(locate_ep3(GAMMA).g, mhz(0.025))
         assert to_mhz(shift) == pytest.approx(0.67, abs=0.001)
 
     def test_cube_root_exact_scaling(self):

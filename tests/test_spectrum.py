@@ -63,8 +63,7 @@ def random_system(rng):
 
 
 def ep3_sym():
-    point = locate_ep3(GAMMA)
-    return SymmetricParams(gamma=GAMMA, g=point.g_ep3, delta=point.delta_ep3)
+    return locate_ep3(GAMMA)
 
 
 class TestResponseFunctions:
@@ -273,7 +272,7 @@ class TestFindDip:
         grid = np.linspace(-5, 5, 101)
         trace = SpectrumTrace(grid=grid, values=np.array([f(x) for x in grid]),
                               values_db=to_db([f(x) for x in grid], -120.0),
-                              floor_db=-120.0)
+                              floor_db=-120.0, pole_mask=np.zeros(101, bool))
         dip = find_dip(trace, f)
         assert dip.dip_location == pytest.approx(vertex, abs=1e-6)
 
@@ -286,7 +285,8 @@ class TestFindDip:
         grid = np.linspace(0, 1, 11)
         ones = np.ones_like(grid)
         trace = SpectrumTrace(grid=grid, values=ones,
-                              values_db=to_db(ones, -120.0), floor_db=-120.0)
+                              values_db=to_db(ones, -120.0), floor_db=-120.0,
+                              pole_mask=np.zeros(11, bool))
         with pytest.raises(FlatTraceError):
             find_dip(trace, lambda x: 1.0)
 
