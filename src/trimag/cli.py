@@ -179,15 +179,20 @@ def _check_numbers(args) -> None:
 def cmd_ep3(args) -> int:
     if args.gamma_mhz <= 0:
         raise ValidationError("--gamma-mhz must be > 0")
-    point = locate_ep3(mhz(args.gamma_mhz))
+    gamma = mhz(args.gamma_mhz)
+    if not math.isfinite(2.0 * gamma):
+        raise ValidationError(f"--gamma-mhz {args.gamma_mhz:g} is too large: "
+                              f"its degeneracy coupling 2*gamma/sqrt(3) "
+                              f"overflows")
+    point = locate_ep3(gamma)
     payload = {
         "gamma_mhz": args.gamma_mhz,
         "g_ep3_mhz": to_mhz(point.g),
         "delta_ep3_mhz": to_mhz(point.delta),
     }
     print(f"third-order degeneracy at gamma = {args.gamma_mhz:g} MHz: "
-          f"g = {payload['g_ep3_mhz']:.4f} MHz, "
-          f"delta = {payload['delta_ep3_mhz']:.4f} MHz")
+          f"g = {payload['g_ep3_mhz']:.5g} MHz, "
+          f"delta = {payload['delta_ep3_mhz']:.5g} MHz")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

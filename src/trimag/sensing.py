@@ -50,6 +50,10 @@ TRUST_RADIUS = 0.5
 #: ramp resolution for single-shot shift evaluation
 RAMP_STEPS = 64
 
+#: a seeded pick stands only if its root lies nearer the prediction than
+#: this fraction of the distance to the next-nearest root
+SEED_MARGIN = 0.5
+
 GAMMA_E_GHZ_PER_T = 28.0  # gyromagnetic ratio of the ferrimagnet, GHz/T
 RESOLVABLE_DB = 1e-13     # smallest resolvable spectrum change, dB
 
@@ -129,19 +133,42 @@ def _closed_form(sym: SymmetricParams, delta_b: float, x: complex) -> complex:
     return min(roots, key=lambda r: abs(r - x))
 
 
-def central_branch(sym: SymmetricParams, delta_b: float) -> complex:
-    """Central eigenvalue branch at delta_b, continued from zero.
+def _leading_shift(sym: SymmetricParams, delta_b: float) -> float:
+    """Leading term of the central branch's expansion in delta_b,
+    trace-centred: the Puiseux term at the degeneracy, the linear law with
+    the centroid drift 2*delta_b/3 removed elsewhere."""
+    if _at_degeneracy(sym):
+        return math.copysign(cube_root_response(sym.g, abs(delta_b)), delta_b)
+    return linear_response(sym, delta_b) - 2.0 * delta_b / 3.0
 
-    The perturbation is ramped from 0 to delta_b in RAMP_STEPS steps and the
-    branch is tracked by nearest-neighbor continuation in the
-    trace-centered frame.  The batch picks the branch, the scalar gives
-    the value: the ramp is solved in one batched call, and the result is
-    the root of the scalar closed form at delta_b nearest the tracked one.
+
+def central_branch(sym: SymmetricParams, delta_b: float) -> complex:
+    """Central eigenvalue branch at delta_b, seeded from its leading term.
+
+    The scalar closed form is solved once at delta_b, and its root nearest
+    the leading term of the branch's expansion (_leading_shift) is taken
+    if |delta_b| lies within the trust radius and that root is nearer the
+    prediction than SEED_MARGIN times the distance to the next-nearest
+    root.  Otherwise the pick is ambiguous and the branch is continued
+    from zero: the perturbation is ramped from 0 to delta_b in RAMP_STEPS
+    steps, solved in one batched call and tracked by nearest-neighbor
+    continuation in the trace-centered frame, and the result is the
+    closed-form root nearest the tracked one.
     """
     if delta_b == 0.0:
         return 0j
+    # the ramp's last step is a numpy scalar, and its cubic is this one bit
+    # for bit
+    delta_b = np.float64(delta_b)
+    roots = cardano_roots(_depressed_cubic(sym, delta_b))
+    if abs(delta_b) <= TRUST_RADIUS * sym.gamma:
+        predicted = _leading_shift(sym, delta_b)
+        nearest, second, _ = sorted(roots, key=lambda r: abs(r - predicted))
+        if abs(nearest - predicted) < SEED_MARGIN * abs(second - predicted):
+            return nearest
     ramp = delta_b * np.linspace(0.0, 1.0, RAMP_STEPS + 1)[1:]
-    return _closed_form(sym, ramp[-1], _track(sym, ramp)[-1])
+    x = _track(sym, ramp)[-1]
+    return min(roots, key=lambda r: abs(r - x))
 
 
 def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
@@ -159,15 +186,15 @@ def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
 def eigenshift_sweep(sym: SymmetricParams, delta_bs) -> np.ndarray:
     """Central-branch shifts (MHz) along a delta_b axis.
 
-    Continuation runs along the sweep axis.  The branch is ramped from
-    zero by central_branch at the first point and again after a step
+    Continuation runs along the sweep axis.  The branch is seeded or
+    ramped by central_branch at the first point and again after a step
     larger than 0.2*gamma, one that crosses zero or one that more than
     doubles or halves |delta_b|: near zero the branches crowd together,
-    and only the ramp from zero tells them apart.  The batch picks the
-    branch, the scalar gives the value: each run of points is solved in
-    one batched call, and each shift is the root of the scalar closed
-    form nearest the tracked one, so it equals exact_eigenshift at that
-    point wherever both follow the same branch.  delta_bs is in rad/us;
+    and continuing across that region can land on another branch.  The
+    batch picks the branch, the scalar gives the value: each run of points
+    is solved in one batched call, and each shift is the root of the
+    scalar closed form nearest the tracked one, so it equals
+    exact_eigenshift at that point wherever both follow the same branch.  delta_bs is in rad/us;
     zeros give zero shift.
     """
     sym.require_manifold()
@@ -205,11 +232,17 @@ def linear_response(sym: SymmetricParams, delta_b: float) -> float:
     diverges at the degeneracy, where the cube-root law applies instead.
     """
     sym.require_manifold()
-    r = 3.0 * sym.g * sym.g - 4.0 * sym.gamma * sym.gamma
-    if abs(r) <= 1e-9 * sym.gamma * sym.gamma:
+    if _at_degeneracy(sym):
         raise ValidationError(
             "linear response undefined at the third-order degeneracy")
+    r = 3.0 * sym.g * sym.g - 4.0 * sym.gamma * sym.gamma
     return (1.0 - sym.g * sym.g / r) * delta_b
+
+
+def _at_degeneracy(sym: SymmetricParams) -> bool:
+    """3g^2 - 4gamma^2 vanishes to within 1e-9*gamma^2."""
+    r = 3.0 * sym.g * sym.g - 4.0 * sym.gamma * sym.gamma
+    return abs(r) <= 1e-9 * sym.gamma * sym.gamma
 
 
 def g_ep3_factor(g_ep3: float, delta_b: float) -> float:
@@ -326,11 +359,12 @@ class SensitivityChain:
 
     delta_b -> trace-centred shift of the central branch (one
     eigenshift_sweep) -> refined dip of the perturbed absorption spectrum
-    (one spectrum_dip per point) -> g_ep3, g_cpa, g_syn -> the detectable
-    field change.  Each column is computed when first read, so a reader
-    pays only for what it reads.  The shift and the dip exist at any
-    manifold point; the factors only at the third-order degeneracy of
-    sym.gamma.  kappa1 and kappa2 are in rad/us.
+    nearest the zero that shift predicts (one spectrum_dip per point) ->
+    g_ep3, g_cpa, g_syn -> the detectable field change.  Each column is
+    computed when first read, so a reader pays only for what it reads.
+    The shift and the dip exist at any manifold point; the factors only at
+    the third-order degeneracy of sym.gamma.  kappa1 and kappa2 are in
+    rad/us.
     """
 
     sym: SymmetricParams
@@ -357,9 +391,13 @@ class SensitivityChain:
 
     @cached_property
     def dips(self) -> list[DipReport]:
-        """Dip of each perturbed absorption spectrum, located in the lab frame."""
+        """Dip of each perturbed absorption spectrum nearest the zero that
+        the tracked branch predicts, at delta_omega + 2*delta_b/3 in the
+        lab frame."""
         return [spectrum_dip(self.sym, self.kappa1, self.kappa2, mhz(b),
-                             self.floor_db) for b in self.delta_b]
+                             shift + 2.0 * b / 3.0, self.floor_db)
+                for b, shift in zip(self.delta_b.tolist(),
+                                    self.delta_omega.tolist())]
 
     @cached_property
     def dip_db(self) -> np.ndarray:

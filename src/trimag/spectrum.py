@@ -45,6 +45,9 @@ POLE_TOL = 1e-12
 #: bracket width to which find_dip refines a dip, MHz
 DIP_WIDTH_MHZ = 1e-6
 
+#: grid points on either side of the current index in spectrum_dip's walk
+DIP_WINDOW = 4
+
 CSV_HEADER = "omega_mhz,s_tot_linear,s_tot_db"
 
 
@@ -225,6 +228,8 @@ def find_dip(trace: SpectrumTrace,
              refine: Callable[[float], float]) -> DipReport:
     """Global grid minimum of a trace, refined on the continuous model.
 
+    The search is global because a bare trace carries no prediction of
+    where its dip lies; spectrum_dip narrows the trace to one first.
     refine maps a probe offset in MHz to the linear model value; the
     bracket around the best grid point is narrowed by golden section to
     DIP_WIDTH_MHZ.  A trace without a strict minimum is rejected.
@@ -274,11 +279,27 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
 
 
 def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
-                 delta_b: float = 0.0,
-                 floor_db: float = DEFAULT_FLOOR_DB) -> DipReport:
-    """Dip of the absorption-drive spectrum on the default grid, optionally
-    under perturbation."""
+                 delta_b: float, predicted_mhz: float,
+                 floor_db: float) -> DipReport:
+    """Dip of the absorption-drive spectrum nearest a predicted zero.
+
+    The search starts on the default_grid point at or just above
+    predicted_mhz, the lab-frame location of the tracked eigenvalue, and
+    evaluates a window of DIP_WINDOW points on either side.  While the window's minimum sits
+    on an inner edge the window moves there, so the search ends on the
+    grid's local minimum downhill of the prediction; find_dip then refines
+    it.  delta_b (rad/us) shifts both magnon lines.
+    """
     params = perturbed_system(sym, kappa1, kappa2, delta_b)
     drive = cpa_drive(params)
-    trace = total_output_spectrum(params, drive, default_grid(), floor_db)
+    grid = default_grid()
+    last = grid.size - 1
+    i = min(int(np.searchsorted(grid, predicted_mhz)), last)
+    while True:
+        lo, hi = max(i - DIP_WINDOW, 0), min(i + DIP_WINDOW, last)
+        trace = total_output_spectrum(params, drive, grid[lo:hi + 1], floor_db)
+        j = lo + int(np.argmin(np.where(trace.pole_mask, math.inf, trace.values)))
+        if j == i or not (j == lo > 0 or j == hi < last):
+            break
+        i = j
     return find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))

@@ -20,7 +20,16 @@ from trimag.params import (
     ValidationError,
     mhz,
 )
-from trimag.spectrum import mn_functions
+from trimag.spectrum import (
+    DipReport,
+    cpa_drive,
+    default_grid,
+    find_dip,
+    mn_functions,
+    perturbed_system,
+    total_output,
+    total_output_spectrum,
+)
 
 
 def symmetric_hamiltonian(sym: SymmetricParams) -> np.ndarray:
@@ -217,3 +226,13 @@ def eigenvectors_on_manifold(sym: SymmetricParams) -> EigentripleWithVectors:
                         _normalize_leading(v_plus),
                         _normalize_leading(v_minus)])
     return EigentripleWithVectors(values=values, vectors=vectors)
+
+
+def global_spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
+                        delta_b: float, floor_db: float) -> DipReport:
+    """The perturbed dip by global search: the whole default grid is
+    sampled and find_dip refines its lowest point."""
+    params = perturbed_system(sym, kappa1, kappa2, delta_b)
+    drive = cpa_drive(params)
+    trace = total_output_spectrum(params, drive, default_grid(), floor_db)
+    return find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))

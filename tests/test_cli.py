@@ -29,6 +29,9 @@ class TestEp3Command:
     def test_reference_output(self, capsys):
         assert run_cli(["ep3", "--gamma-mhz", "3"]) == 0
         out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            "third-order degeneracy at gamma = 3 MHz: "
+            "g = 3.4641 MHz, delta = 1.7321 MHz")
         payload = json.loads(out[out.index("{"):])
         assert payload["g_ep3_mhz"] == pytest.approx(3.4641, abs=1e-4)
         assert payload["delta_ep3_mhz"] == pytest.approx(1.7321, abs=1e-4)
@@ -274,6 +277,19 @@ class TestCliContract:
         payload = json.loads(out[out.index("{"):])
         assert payload["gamma_mhz"] == float(gamma)
         assert all(math.isfinite(v) for v in payload.values())
+        if gamma == "1e300":
+            assert out.splitlines()[0] == (
+                "third-order degeneracy at gamma = 1e+300 MHz: "
+                "g = 1.1547e+300 MHz, delta = 5.7735e+299 MHz")
+
+    @pytest.mark.filterwarnings("error")
+    def test_unrepresentable_degeneracy_exits_two(self, capsys):
+        # gamma itself is finite in rad/us; its coupling 2*gamma/sqrt(3) is not
+        assert run_cli(["ep3", "--gamma-mhz", "1.5e307"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --gamma-mhz 1.5e+307 is too large")
+        assert "overflows" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

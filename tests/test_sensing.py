@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from trimag import sensing
 from trimag.core import locate_ep3
 from trimag.cubic import CubicCoeffs, cardano_roots
 from trimag.params import SymmetricParams, ValidationError, mhz, to_mhz
-from trimag.spectrum import FloorClampError
+from trimag.spectrum import FloorClampError, default_grid
 from trimag.sensing import (
     RAMP_STEPS,
     BranchTrackingError,
@@ -30,7 +31,7 @@ from trimag.sensing import (
     synthetic_sensitivity,
 )
 
-from oracles import delta_b_of_shift
+from oracles import delta_b_of_shift, global_spectrum_dip
 
 GAMMA = mhz(3.0)
 
@@ -117,13 +118,19 @@ class TestExactEigenshift:
         singles = [exact_eigenshift(sym, Perturbation(b)) for b in bs]
         assert np.array_equal(swept, singles)
 
-    @settings(max_examples=200, deadline=None)
-    @given(g_mhz=st.floats(3.0, 8.0),
-           log_b=st.floats(-5.0, 2.5),
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.one_of(
+               st.none(),
+               st.floats(3.0, 8.0).map(mhz),
+               st.tuples(st.integers(2, 13), st.sampled_from([-1.0, 1.0])).map(
+                   lambda k: locate_ep3(GAMMA).g * (1.0 + k[1] * 10.0 ** -k[0]))),
+           log_b=st.floats(-9.0, 2.5),
            sign=st.sampled_from([-1.0, 1.0]))
-    def test_central_branch_equals_scalar_ramp(self, g_mhz, log_b, sign):
-        # up to 300 MHz, so branch losses are drawn as well
-        sym = SymmetricParams.manifold_point(GAMMA, mhz(g_mhz))
+    def test_central_branch_equals_scalar_ramp(self, g, log_b, sign):
+        # seeded or ramped, at and near the degeneracy and away from it; up
+        # to 300 MHz, so branch losses are drawn as well
+        sym = (ep3_sym() if g is None
+               else SymmetricParams.manifold_point(GAMMA, g))
         delta_b = sign * mhz(10.0 ** log_b)
         try:
             expected = scalar_ramp_branch(sym, delta_b)
@@ -132,6 +139,33 @@ class TestExactEigenshift:
                 central_branch(sym, delta_b)
         else:
             assert central_branch(sym, delta_b) == expected
+
+    def test_ambiguous_seed_takes_the_ramp(self, monkeypatch):
+        # just above the degeneracy the linear law is no guide at 0.01 MHz
+        ramps = []
+        track = sensing._track
+        monkeypatch.setattr(sensing, "_track",
+                            lambda *args: ramps.append(args) or track(*args))
+        near = SymmetricParams.manifold_point(GAMMA, mhz(3.47))
+        assert central_branch(near, mhz(0.01)) == scalar_ramp_branch(
+            near, mhz(0.01))
+        assert len(ramps) == 1
+        assert central_branch(ep3_sym(), mhz(0.025)) == scalar_ramp_branch(
+            ep3_sym(), mhz(0.025))
+        assert len(ramps) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_b=st.floats(-22.0, -9.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_tiny_shift_follows_the_puiseux_term(self, log_b, sign):
+        # below about 1e-19 rad/us the ramp picks an arbitrary branch; the
+        # seed keeps the sign of delta_b down to 1e-22 rad/us, and the
+        # cube-root law from 5e-21 rad/us up
+        delta_b = sign * 10.0 ** log_b
+        shift = central_branch(ep3_sym(), delta_b).real
+        law = cube_root_response(ep3_sym().g, abs(delta_b))
+        assert math.copysign(1.0, shift) == sign
+        if abs(delta_b) >= 5e-21:
+            assert abs(abs(shift) - law) <= 0.05 * law
 
     @settings(max_examples=200, deadline=None)
     @given(g_mhz=st.sampled_from([None, 3.6, 4.59, 6.0, 8.0]),
@@ -360,6 +394,37 @@ class TestSensitivityChain:
         assert chain.g_cpa[0] == 0.0 and chain.g_syn[1] == 0.0
         with pytest.raises(FloorClampError, match="delta_b = 0.001 MHz"):
             chain.delta_b_min()
+
+    @pytest.mark.parametrize("g_mhz,delta_b_mhz,floor_db", [
+        (None, np.geomspace(1e-4, 0.05, 100), -91.5),
+        (None, FIGURE_GRIDS["fig4"], -91.5),
+        (4.59, np.linspace(-0.05, 0.05, 21), -120.0),
+    ], ids=["fig3d", "fig4", "dip_g459"])
+    def test_dips_equal_the_global_search(self, g_mhz, delta_b_mhz, floor_db):
+        # the window's values are the full grid's, bit for bit, on this CPU
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        chain = ep3_chain(delta_b_mhz, floor_db, sym)
+        assert chain.dips == [
+            global_spectrum_dip(sym, mhz(4.0), mhz(4.0), mhz(b), floor_db)
+            for b in chain.delta_b]
+
+    @settings(max_examples=100, deadline=None)
+    @given(g_mhz=st.one_of(st.none(), st.floats(3.0, 8.0)),
+           delta_b_mhz=st.one_of(st.floats(1e-9, 0.5), st.floats(-0.5, -1e-9)))
+    @example(g_mhz=3.6, delta_b_mhz=0.001)
+    def test_dip_is_the_zero_the_branch_predicts(self, g_mhz, delta_b_mhz):
+        # at g = 3.6 MHz, delta_b = 0.001 MHz the global grid minimum is the
+        # CPA zero at +1.70 MHz, 170 grid steps from the tracked branch
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        # a real eigenvalue is a CPA zero; a complex one's dip drifts off its
+        # real part as the imaginary part grows
+        assume(abs(to_mhz(central_branch(sym, mhz(delta_b_mhz)).imag)) <= 0.1)
+        chain = ep3_chain([delta_b_mhz], sym=sym)
+        predicted = chain.delta_omega[0] + 2.0 * delta_b_mhz / 3.0
+        step = default_grid()[1] - default_grid()[0]
+        assert abs(chain.dips[0].dip_location - predicted) <= 3 * step
 
 
 class TestSensitivityReport:

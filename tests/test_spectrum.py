@@ -277,9 +277,18 @@ class TestFindDip:
         assert dip.dip_location == pytest.approx(vertex, abs=1e-6)
 
     def test_perturbed_dip_tracks_shifted_eigenvalue(self):
-        dip = spectrum_dip(ep3_sym(), K1, K2, mhz(0.025), floor_db=-91.5)
+        # walked from the unperturbed zero to the one zero of the spectrum
+        dip = spectrum_dip(ep3_sym(), K1, K2, mhz(0.025), 0.0, -91.5)
         assert dip.dip_location == pytest.approx(0.67, abs=0.02)
         assert dip.dip_value_db == pytest.approx(-62.935, abs=0.01)
+
+    @pytest.mark.parametrize("zero", [-1.0, 0.0, 1.0])
+    def test_dip_is_the_zero_nearest_the_prediction(self, zero):
+        # above the degeneracy the spectrum has zeros at 0 and +-s
+        sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
+        s = math.sqrt(3 * 4.59 ** 2 - 4 * 3.0 ** 2)
+        dip = spectrum_dip(sym, K1, K2, 0.0, zero * (s - 0.3), -120.0)
+        assert dip.dip_location == pytest.approx(zero * s, abs=1e-5)
 
     def test_flat_trace_reported(self):
         grid = np.linspace(0, 1, 11)

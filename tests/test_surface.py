@@ -19,8 +19,6 @@ README = (ROOT / "README.md").read_text()
 #: public names that only tests call, with the reason each one stays
 ALLOWED = {
     "exact_eigenshift": "a span boundary of benchmarks/tracing.py",
-    "cube_root_response": "the branch seed at the degeneracy (ROADMAP item 1)",
-    "linear_response": "the branch seed away from the degeneracy (ROADMAP item 1)",
 }
 
 TREES = {path.name: ast.parse(path.read_text())
