@@ -34,9 +34,8 @@ from .spectrum import (
     DEFAULT_FLOOR_DB,
     EXPERIMENTAL_FLOOR_DB,
     FlatTraceError,
-    FloorClampError,
-    ScatteringPoleError,
     cpa_drive,
+    csv_text,
     default_grid,
     find_dip,
     perturbed_system,
@@ -211,7 +210,7 @@ def _sweep_axis_values(config: dict) -> np.ndarray:
     points = _require(config, "sweep", "points", int)
     if points < 2:
         raise ValidationError("config: sweep.points must be >= 2")
-    if not (math.isfinite(start) and math.isfinite(stop)) or stop <= start:
+    if not math.isfinite(stop - start) or stop <= start:
         raise ValidationError("config: sweep range must be finite with "
                               "stop > start")
     return np.linspace(start, stop, points)
@@ -283,7 +282,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"config: output.path must be a string, "
                               f"got {path!r}")
     if fmt == "csv":
-        _emit(path, figures.csv_text(",".join(header), rows))
+        _emit(path, csv_text(",".join(header), ["%.12g"] * len(header), rows))
     elif fmt == "json":
         payload = [dict(zip(header, row))
                    for row in np.asarray(rows, dtype=float).tolist()]
@@ -291,6 +290,21 @@ def cmd_sweep(args) -> int:
     else:
         raise ValidationError(f"output.format must be csv or json, got {fmt!r}")
     return EXIT_OK
+
+
+def _probe_grid(args) -> np.ndarray:
+    """The --span-mhz/--points grid: strictly increasing, and every probe
+    offset's square in rad/us finite, as the response functions need."""
+    span = args.span_mhz
+    if not (span > 0 and math.isfinite(mhz(span) * mhz(span))):
+        raise ValidationError(f"--span-mhz must be > 0 with a finite square "
+                              f"in rad/us, got {span!r}")
+    grid = default_grid(span_mhz=span, points=args.points)
+    if np.any(np.diff(grid) <= 0):
+        raise ValidationError(f"--span-mhz {span!r} is too small for "
+                              f"--points {args.points}: the probe grid does "
+                              f"not strictly increase")
+    return grid
 
 
 def cmd_spectrum(args) -> int:
@@ -307,12 +321,16 @@ def cmd_spectrum(args) -> int:
         params = perturbed_system(sym, mhz(args.kappa1_mhz),
                                   mhz(args.kappa2_mhz), mhz(args.delta_b_mhz))
     drive = _drive_from_spec(args.drive, params)
-    grid = default_grid(span_mhz=args.span_mhz, points=args.points)
-    trace = total_output_spectrum(params, drive, grid, floor_db=args.floor_db)
-    _emit(args.out, trace_to_csv(trace))
+    trace = total_output_spectrum(params, drive, _probe_grid(args),
+                                  floor_db=args.floor_db)
+    # the dip is searched before anything is written, so a failed search
+    # leaves no file behind
+    dip = None
     if args.dip:
         dip = find_dip(trace,
                        lambda nu: float(total_output(params, drive, mhz(nu))))
+    _emit(args.out, trace_to_csv(trace))
+    if dip is not None:
         print(f"dip: {dip.dip_location:.6f} MHz at {dip.dip_value_db:.3f} dB",
               file=sys.stderr)
     return EXIT_OK
@@ -394,12 +412,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
-        return args.func(args)
+        # a floating-point overflow or invalid operation is a numerical
+        # failure of the command, not a warning beside its output
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ScatteringPoleError, FlatTraceError, FloorClampError,
-            BranchTrackingError, ZeroDivisionError) as exc:
+    except (ArithmeticError, FlatTraceError, BranchTrackingError) as exc:
+        # ArithmeticError: poles, floor clamps, zero divisions, overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -3,8 +3,8 @@
 Each entry point writes plot-ready CSV files for one figure of the study:
 eigenvalue surfaces with their second-order degeneracy lines, manifold
 eigenvalue cuts, perturbation response on log-log axes, and the three
-sensitivity factors versus perturbation.  Output formatting is fixed
-(%.12g / %.12e) so repeated runs are byte-identical.
+sensitivity factors versus perturbation.  Every value is written as
+%.12g, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,21 +25,16 @@ from .params import (
     to_mhz,
 )
 from .sensing import SensitivityChain, eigenshift_sweep, fit_loglog_slope
-from .spectrum import EXPERIMENTAL_FLOOR_DB
+from .spectrum import EXPERIMENTAL_FLOOR_DB, csv_text
 
 #: perturbation window of the fig3c response datasets and fits, MHz
 RESPONSE_WINDOW_MHZ = (1e-4, 1e-2)
 
 
-def csv_text(header: str, rows) -> str:
-    """The header line, then one line of %.12g values per row of the table."""
-    table = np.asarray(rows, dtype=float)
-    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
-    path.write_text(csv_text(header, rows))
+    """Write the rows under header, every value as %.12g."""
+    formats = ["%.12g"] * (header.count(",") + 1)
+    path.write_text(csv_text(header, formats, rows))
 
 
 def eigenvalue_surfaces(gamma: float, g_grid, d_grid) -> np.ndarray:

@@ -113,9 +113,10 @@ class SymmetricParams:
     @classmethod
     def manifold_point(cls, gamma: float, g: float) -> "SymmetricParams":
         """Manifold configuration at coupling g, with delta = sqrt(g^2 - gamma^2)."""
-        if g < gamma:
+        if not g >= gamma > 0:
             raise ValidationError(
-                f"manifold requires g >= gamma (got g={g!r}, gamma={gamma!r})"
+                f"manifold requires g >= gamma > 0 (got g={g!r}, "
+                f"gamma={gamma!r})"
             )
         return cls(gamma=gamma, g=g, delta=math.sqrt(g * g - gamma * gamma))
 

@@ -50,6 +50,13 @@ DIP_WINDOW = 4
 
 CSV_HEADER = "omega_mhz,s_tot_linear,s_tot_db"
 
+#: %-format of each CSV column of a trace
+CSV_FORMATS = ("%.12g", "%.12e", "%.12g")
+
+#: table rows that csv_text formats with one % operation; bounds the size
+#: of the tuple of Python floats that operation needs
+CSV_BLOCK_ROWS = 4096
+
 
 class ScatteringPoleError(ArithmeticError):
     """m + i*n vanished: the drive response diverges at this frequency."""
@@ -270,12 +277,25 @@ def perturbed_system(sym: SymmetricParams, kappa1: float, kappa2: float,
     )
 
 
+def csv_text(header: str, formats: Sequence[str], table) -> str:
+    """The header line, then one line per table row, value j in formats[j].
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, with one % operation on
+    the block's values as Python floats.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(formats) + "\n"
+    blocks = [header + "\n"]
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        blocks.append((line * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(blocks)
+
+
 def trace_to_csv(trace: SpectrumTrace) -> str:
     """Render a trace as CSV text with the fixed column order."""
-    lines = [CSV_HEADER]
-    for nu, v, vdb in zip(trace.grid, trace.values, trace.values_db):
-        lines.append(f"{nu:.12g},{v:.12e},{vdb:.12g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(CSV_HEADER, CSV_FORMATS, np.column_stack(
+        [trace.grid, trace.values, trace.values_db]))
 
 
 def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,

@@ -21,7 +21,9 @@ from trimag.params import (
     mhz,
 )
 from trimag.spectrum import (
+    CSV_HEADER,
     DipReport,
+    SpectrumTrace,
     cpa_drive,
     default_grid,
     find_dip,
@@ -236,3 +238,19 @@ def global_spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
     drive = cpa_drive(params)
     trace = total_output_spectrum(params, drive, default_grid(), floor_db)
     return find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))
+
+
+def trace_to_csv_per_row(trace: SpectrumTrace) -> str:
+    """A trace as CSV, one f-string per row on the row's three values."""
+    lines = [CSV_HEADER]
+    for nu, v, vdb in zip(trace.grid, trace.values, trace.values_db):
+        lines.append(f"{nu:.12g},{v:.12e},{vdb:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def csv_text_whole_table(header: str, rows) -> str:
+    """The header line, then every value of the table as %.12g, formatted
+    with one % operation on the whole table."""
+    table = np.asarray(rows, dtype=float)
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())

@@ -1,14 +1,22 @@
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from trimag.cli import main
+from trimag.figures import FIGURES
 
 GOLDEN = Path(__file__).parent / "golden"
 FIGURE_FILES = {
@@ -85,6 +93,15 @@ class TestSpectrumCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "omega_mhz,s_tot_linear,s_tot_db"
         assert len(lines) == 52
+
+    def test_matches_golden(self, tmp_path, capsys):
+        # the README example, byte for byte as the per-row writer wrote it
+        out = tmp_path / "spectrum_g459.csv"
+        assert run_cli(["spectrum", "--g-mhz", "4.59", "--delta-b-mhz", "0.025",
+                        "--floor-db", "-91.5", "--dip", "--out", str(out)]) == 0
+        golden = GOLDEN / "spectrum" / "spectrum_g459.csv"
+        assert out.read_bytes() == golden.read_bytes()
+        assert capsys.readouterr().err == "dip: 0.005640 MHz at -91.500 dB\n"
 
     def test_perturbed_dip_to_stderr(self, capsys):
         assert run_cli(["spectrum", "--g-mhz", "3.4641016151377544",
@@ -250,6 +267,37 @@ class TestCliContract:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,message", [
+        (["--points", "2", "--dip"], "dip search needs at least 3 grid points"),
+        (["--points", "5", "--span-mhz", "-5"], "--span-mhz must be > 0"),
+        (["--points", "5", "--span-mhz", "5e-324"],
+         "--span-mhz 5e-324 is too small for --points 5"),
+        (["--points", "5", "--span-mhz", "1e308"], "--span-mhz must be > 0"),
+        (["--points", "5", "--span-mhz", "1e200", "--dip"],
+         "--span-mhz must be > 0"),
+    ], ids=["two_points_dip", "span_negative", "span_subnormal", "span_huge",
+            "span_squares_overflow"])
+    def test_spectrum_grid_exits_two_before_writing(self, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "f.csv"
+        assert run_cli(["spectrum", "--g-mhz", "4.59", *argv,
+                        "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag", ["--delta-b-mhz", "--delta-mhz"])
+    def test_overflowing_detuning_is_a_numerical_failure(self, tmp_path,
+                                                         capsys, flag):
+        # (omega - delta)**2 overflows in the response functions
+        assert run_cli(["spectrum", "--g-mhz", "4.59", flag, "1e300",
+                        "--points", "5", "--dip",
+                        "--out", str(tmp_path / "f.csv")]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: overflow")
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("floor", ["1e300", "4000", "-1e300"],
                              ids=["huge", "overflowing", "underflowing"])
     @pytest.mark.parametrize("argv", [
@@ -309,6 +357,167 @@ class TestCliContract:
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
+#: any float, and the values at the edges of float64
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e200, -1e200,
+                     1e308, -1e308, math.nan, math.inf, -math.inf]),
+)
+
+
+def _near(lo: float, hi: float):
+    """Floats in the device's range [lo, hi] (two draws in four), or
+    anywhere in FLOATS."""
+    return st.one_of(st.floats(lo, hi), st.floats(lo, hi), FLOATS)
+
+
+#: an output path in the run's directory: none (stdout), a new file, a
+#: file in a missing directory, or the directory itself
+OUTPUTS = st.sampled_from([None, "out.txt", "missing/out.txt", "."])
+
+#: the leaves of a sweep config: numbers, counts, short names, or null;
+#: names have no "/", so no path leaves the run's directory
+LEAVES = st.one_of(_near(-10.0, 10.0), st.integers(-3, 60), st.none(),
+                   st.text(alphabet="ab0._", max_size=3),
+                   st.sampled_from(["g", "delta_b", "dip", "sensitivity",
+                                    "csv", "json"]))
+
+SWEEP_CONFIGS = st.dictionaries(
+    st.sampled_from(["system", "sweep", "quantity", "floor_db", "output"]),
+    LEAVES | st.dictionaries(st.sampled_from([
+        "gamma_mhz", "g_mhz", "delta_mhz", "kappa1_mhz", "kappa2_mhz",
+        "axis", "start_mhz", "stop_mhz", "points", "path", "format"]),
+        LEAVES, max_size=4),
+    max_size=3)
+
+
+@st.composite
+def _flags(draw, spec: dict) -> list[str]:
+    """Each flag of spec, or not, with a value drawn from its strategy.
+
+    --flag=value keeps values such as -inf or -1e-05 from reading as flags.
+    """
+    argv = []
+    for flag, values in spec.items():
+        value = draw(values) if draw(st.booleans()) else None
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+#: per subcommand: its positional words and required flags, then the
+#: optional flags; paths are relative to the run's directory
+COMMANDS = {
+    "ep3": (st.tuples(_near(0.1, 10.0).map("--gamma-mhz={}".format)), {}),
+    "report": (st.tuples(_near(1e-3, 0.1).map("--delta-b-mhz={}".format)),
+               {"--floor-db": _near(-150.0, -20.0), "--out": OUTPUTS}),
+    "reproduce": (st.tuples(st.sampled_from([*FIGURES, "fig9"])),
+                  {"--outdir": OUTPUTS}),
+    "spectrum": (st.tuples(_near(3.0, 8.0).map("--g-mhz={}".format)), {
+        "--gamma-mhz": _near(0.5, 3.0), "--delta-mhz": _near(-5.0, 5.0),
+        "--kappa1-mhz": _near(3.0, 10.0), "--kappa2-mhz": _near(3.0, 10.0),
+        "--drive": st.one_of(st.just("cpa"), st.text(max_size=4),
+                             st.builds("{},{}".format, FLOATS, FLOATS)),
+        "--delta-b-mhz": _near(-0.1, 0.1), "--span-mhz": _near(0.1, 20.0),
+        "--points": st.integers(-3, 10 ** 4),
+        "--floor-db": _near(-150.0, -20.0), "--dip": st.just(True),
+        "--out": OUTPUTS}),
+    "sweep": (st.tuples(), {
+        "--config": st.just("config.json"),
+        "--axis": st.sampled_from(["g", "delta", "delta_b"]),
+        "--start-mhz": _near(-1.0, 5.0), "--stop-mhz": _near(-1.0, 8.0),
+        # each dip or sensitivity row runs the chain once: keep sweeps short
+        "--points": st.integers(-3, 60),
+        "--quantity": st.sampled_from(["eigenvalues", "dip", "sensitivity"]),
+        "--gamma-mhz": _near(0.5, 3.0), "--g-mhz": _near(3.0, 8.0),
+        "--kappa1-mhz": _near(3.0, 10.0), "--kappa2-mhz": _near(3.0, 10.0),
+        "--floor-db": _near(-150.0, -20.0), "--out": OUTPUTS,
+        "--format": st.sampled_from(["csv", "json"])}),
+}
+
+
+def _rows(text: str) -> tuple[str, np.ndarray]:
+    """The first column's name and the rows of a CSV table or of a JSON
+    list of row objects."""
+    if text.startswith("["):
+        rows = json.loads(text)
+        return next(iter(rows[0])), np.array([list(r.values()) for r in rows])
+    lines = text.splitlines()
+    return lines[0].split(",")[0], np.array(
+        [[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def _assert_finite(argv: list[str], text: str, err: str) -> None:
+    """The numbers an exit-0 run reports are finite, except where the
+    format documents NaN: pole rows of a spectrum, and eigenvalue rows of
+    a sweep along g below the damping, which has no manifold point."""
+    if argv[0] in ("ep3", "report"):
+        payload = json.loads(text[text.index("{"):])
+        assert all(math.isfinite(v) for v in payload.values()), payload
+    elif argv[0] == "reproduce":
+        for name in text.split():
+            assert np.isfinite(_rows(Path(name).read_text())[1]).all(), name
+    elif argv[0] == "spectrum":
+        rows = _rows(text)[1]
+        poles = np.isnan(rows[:, 1])
+        assert np.isfinite(rows[:, 0]).all()
+        assert np.isfinite(rows[~poles]).all()
+        assert np.isnan(rows[poles, 2]).all()
+        if "--dip" in argv:
+            dip = re.fullmatch(r"dip: (\S+) MHz at (\S+) dB\n", err)
+            assert all(math.isfinite(float(v)) for v in dip.groups()), err
+    else:
+        first, rows = _rows(text)
+        undefined = np.isnan(rows[:, 1:]).all(axis=1) if first == "g_mhz" \
+            else np.zeros(len(rows), dtype=bool)
+        assert np.isfinite(rows[~undefined]).all(), rows
+
+
+class TestCliProperty:
+    """Every argv ends in exit 0, 2 or 3, without a RuntimeWarning; exit 0
+    reports finite numbers, and exit 2 writes no file."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_codes_and_outputs(self, tmp_path, command, data):
+        required, optional = COMMANDS[command]
+        argv = [command, *data.draw(required), *data.draw(_flags(optional))]
+        directory = Path(tempfile.mkdtemp(dir=tmp_path))
+        if "--config=config.json" in argv:
+            (directory / "config.json").write_text(
+                json.dumps(data.draw(SWEEP_CONFIGS)))
+        before = sorted(directory.iterdir())
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(stdout), redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            event(f"exit {code}")
+            assert code in (0, 2, 3), stderr.getvalue()
+            assert not [w.message for w in caught
+                        if issubclass(w.category, RuntimeWarning)]
+            written = sorted(set(directory.iterdir()) - set(before))
+            if code == 0:
+                text = stdout.getvalue()
+                if written and command != "reproduce":
+                    text = written[0].read_text()
+                _assert_finite(argv, text, stderr.getvalue())
+            if code == 2:
+                assert written == []
+        finally:
+            os.chdir(cwd)
 
 
 class TestEntryPoint:

@@ -5,18 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trimag.core import cubic_coeffs, eigenvalues_on_manifold
 from trimag.cubic import cardano_roots, match_to_previous
-from trimag.figures import (
-    csv_text,
-    eigenvalue_surfaces,
-    ep2_locus_g,
-    manifold_rows,
-)
+from trimag.figures import eigenvalue_surfaces, ep2_locus_g, manifold_rows
 from trimag.params import SymmetricParams, ValidationError, mhz, to_mhz
+from trimag.spectrum import csv_text
 
-from oracles import as_array
+from oracles import as_array, csv_text_whole_table
+from strategies import float_tables
 
 GAMMA_MHZ = 3.0
 
@@ -162,7 +161,8 @@ def test_manifold_rows_match_per_point_loop(axis, values):
     got = manifold_rows(GAMMA_MHZ, axis, values)
     expected = manifold_rows_per_point(GAMMA_MHZ, axis, values)
     # same bytes in the files; signed zeros included
-    assert csv_text("h", got) == csv_text("h", expected)
+    formats = ["%.12g"] * got.shape[1]
+    assert csv_text("h", formats, got) == csv_text("h", formats, expected)
 
 
 def test_manifold_rows_reject_nonpositive_gamma():
@@ -170,9 +170,13 @@ def test_manifold_rows_reject_nonpositive_gamma():
         manifold_rows(0.0, "delta", [0.0, 1.0])
 
 
-def test_csv_text_matches_per_value_format():
-    rows = [[0.0, -0.0, math.nan, 1e20, 2, -3.25e-7],
-            [math.inf, 1.0 / 3.0, 123456789012345.0, -1.5, 0, 7]]
-    expected = "a,b\n" + "".join(
-        ",".join(f"{float(v):.12g}" for v in row) + "\n" for row in rows)
-    assert csv_text("a,b", rows) == expected
+@settings(max_examples=25, deadline=None)
+@example(table=np.array([[0.0, -0.0, math.nan, 1e20, 2, -3.25e-7],
+                         [math.inf, 1.0 / 3.0, 123456789012345.0, -1.5, 0, 7]]))
+@given(table=st.integers(1, 8).flatmap(float_tables))
+def test_csv_text_matches_per_value_format(table):
+    formats = ["%.12g"] * table.shape[1]
+    text = csv_text("a,b", formats, table)
+    assert text == "a,b\n" + "".join(
+        ",".join(f"{float(v):.12g}" for v in row) + "\n" for row in table)
+    assert text == csv_text_whole_table("a,b", table)

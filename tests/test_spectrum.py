@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trimag.core import locate_ep3
 from trimag.params import DriveParams, SymmetricParams, SystemParams, ValidationError, mhz
@@ -24,7 +26,13 @@ from trimag.spectrum import (
     trace_to_csv,
 )
 
-from oracles import cpa_spectrum_closed_form, m_symmetric_form, total_output_expanded
+from oracles import (
+    cpa_spectrum_closed_form,
+    m_symmetric_form,
+    total_output_expanded,
+    trace_to_csv_per_row,
+)
+from strategies import float_tables
 
 GAMMA = mhz(3.0)
 K1 = mhz(4.0)
@@ -326,6 +334,17 @@ class TestCsvExport:
         a = trace_to_csv(total_output_spectrum(params, cpa_drive(params), grid))
         b = trace_to_csv(total_output_spectrum(params, cpa_drive(params), grid))
         assert a == b
+
+    @settings(max_examples=25, deadline=None)
+    @given(table=float_tables(3), python_floats=st.booleans())
+    def test_equals_the_per_row_writer(self, table, python_floats):
+        grid, values, values_db = table.T
+        if python_floats:
+            grid, values, values_db = table.T.tolist()
+        trace = SpectrumTrace(grid=grid, values=values, values_db=values_db,
+                              floor_db=DEFAULT_FLOOR_DB,
+                              pole_mask=np.isnan(table[:, 1]))
+        assert trace_to_csv(trace) == trace_to_csv_per_row(trace)
 
 
 class TestPerturbedSystem:
