@@ -38,8 +38,8 @@ from .spectrum import (
     csv_text,
     default_grid,
     find_dip,
+    output_power,
     perturbed_system,
-    total_output,
     total_output_spectrum,
     trace_to_csv,
 )
@@ -327,8 +327,8 @@ def cmd_spectrum(args) -> int:
     # leaves no file behind
     dip = None
     if args.dip:
-        dip = find_dip(trace,
-                       lambda nu: float(total_output(params, drive, mhz(nu))))
+        power = output_power(params, drive)
+        dip = find_dip(trace, lambda nu: float(power(mhz(nu))))
     _emit(args.out, trace_to_csv(trace))
     if dip is not None:
         print(f"dip: {dip.dip_location:.6f} MHz at {dip.dip_value_db:.3f} dB",

@@ -423,7 +423,19 @@ class SensitivityChain:
 
     @cached_property
     def g_cpa(self) -> np.ndarray:
-        """dB per MHz of shift; a dip clamped at the floor gives about 0."""
+        """dB per MHz of shift; a dip clamped at the floor gives about 0.
+
+        A positive delta_b whose tracked shift is not positive is a
+        numerical limit, not an input error (at the degeneracy rounding
+        picks the branch below about 1e-22 rad/us), and BranchTrackingError
+        names the first such delta_b.
+        """
+        lost = (self.delta_b > 0) & ~(self.delta_omega > 0)
+        if lost.any():
+            raise BranchTrackingError(
+                f"tracked shift at delta_b = {self.delta_b[lost][0]:g} MHz "
+                f"is not positive: the central branch is not resolved at "
+                f"such a small field change")
         return np.array([g_cpa_factor(self.floor_db, dip_db, shift)
                          for shift, dip_db in zip(self.delta_omega, self.dip_db)])
 

@@ -75,46 +75,64 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
-def mn_functions(params: SystemParams, omega: float | np.ndarray):
-    """Response functions (m, n) at probe offset omega (rad/us).
+def output_power(params: SystemParams, drive: DriveParams):
+    """|S1|^2 + |S2|^2 as a function of probe offset omega (rad/us).
 
-    Requires gamma_j > 0 whenever the probe can sit on the corresponding
-    magnon line; a zero-damping magnon probed exactly on resonance is a
-    genuine pole and is rejected.
+    The system's constants are taken once; the returned power(omega)
+    accepts a float, an np.float64 or an array, and raises
+    ScatteringPoleError at a zero-width Lorentzian (possible only when a
+    magnon's damping squares to 0) or where |m + i n| vanishes.  Python
+    floats and np.float64 round + - * / alike, so a float probe runs the
+    real arithmetic on Python floats; the denominator is then an
+    np.complex128, so the divisions, np.abs and ** 2 run on numpy scalars,
+    and a float probe gives the bits its np.float64 gives.
     """
-    d1 = omega - params.delta1
-    d2 = omega - params.delta2
-    l1 = d1 * d1 + params.gamma1 * params.gamma1
-    l2 = d2 * d2 + params.gamma2 * params.gamma2
-    if _any(l1 == 0) or _any(l2 == 0):
-        raise ScatteringPoleError(
-            "undamped magnon probed on resonance (zero Lorentzian width)")
+    delta1, delta2 = params.delta1, params.delta2
+    gamma1sq = params.gamma1 * params.gamma1
+    gamma2sq = params.gamma2 * params.gamma2
     g1sq = params.g1 * params.g1
     g2sq = params.g2 * params.g2
-    m = (-(params.kappa1 + params.kappa2 + params.kappa_int)
-         - g1sq * params.gamma1 / l1 - g2sq * params.gamma2 / l2)
-    n = omega - g1sq * d1 / l1 - g2sq * d2 / l2
-    return m, n
+    g1sq_gamma1 = g1sq * params.gamma1
+    g2sq_gamma2 = g2sq * params.gamma2
+    kappa_total = params.kappa1 + params.kappa2 + params.kappa_int
+    dissipation = -kappa_total
+    pole_threshold = POLE_TOL * max(kappa_total, params.gamma1, params.gamma2,
+                                    1e-30)
+    zero_width = gamma1sq == 0 or gamma2sq == 0
+    x = drive.amplitude
+    transmission = -2.0 * math.sqrt(params.kappa1 * params.kappa2)
+    reflection1 = 2.0 * params.kappa1
+    reflection2 = 2.0 * params.kappa2
 
+    def power(omega):
+        d1 = omega - delta1
+        d2 = omega - delta2
+        l1 = d1 * d1 + gamma1sq
+        l2 = d2 * d2 + gamma2sq
+        # with gamma^2 > 0, d*d + gamma^2 rounds to at least gamma^2
+        if zero_width and (_any(l1 == 0) or _any(l2 == 0)):
+            raise ScatteringPoleError(
+                "undamped magnon probed on resonance (zero Lorentzian width)")
+        m = dissipation - g1sq_gamma1 / l1 - g2sq_gamma2 / l2
+        n = omega - g1sq * d1 / l1 - g2sq * d2 / l2
+        # freed before the complex temporaries are allocated: on a large
+        # grid, holding them makes every later temporary fresh memory
+        del d1, d2, l1, l2
+        # an array passes through unchanged, a scalar becomes a numpy scalar
+        den = np.complex128(m + 1j * n)
+        if _any(abs(den) < pole_threshold):
+            raise ScatteringPoleError("scattering pole: |m + i n| ~ 0")
+        t = transmission / den
+        s1 = (-1.0 - reflection1 / den) * x + t
+        s2 = (-1.0 - reflection2 / den) + t * x
+        return np.abs(s1) ** 2 + np.abs(s2) ** 2
 
-def _denominator(params: SystemParams, omega):
-    m, n = mn_functions(params, omega)
-    den = m + 1j * n
-    scale = max(params.kappa1 + params.kappa2 + params.kappa_int,
-                params.gamma1, params.gamma2, 1e-30)
-    if _any(abs(den) < POLE_TOL * scale):
-        raise ScatteringPoleError("scattering pole: |m + i n| ~ 0")
-    return m, n, den
+    return power
 
 
 def total_output(params: SystemParams, drive: DriveParams, omega) -> float:
     """|S1|^2 + |S2|^2 at probe offset omega (rad/us); vectorized."""
-    m, n, den = _denominator(params, omega)
-    x = drive.amplitude
-    t = -2.0 * math.sqrt(params.kappa1 * params.kappa2) / den
-    s1 = (-1.0 - 2.0 * params.kappa1 / den) * x + t
-    s2 = (-1.0 - 2.0 * params.kappa2 / den) + t * x
-    return np.abs(s1) ** 2 + np.abs(s2) ** 2
+    return output_power(params, drive)(omega)
 
 
 def cpa_drive(params: SystemParams) -> DriveParams:
@@ -199,6 +217,11 @@ def default_grid(span_mhz: float = 10.0, points: int = 2001) -> np.ndarray:
     return np.linspace(-span_mhz, span_mhz, points)
 
 
+#: the default_grid that spectrum_dip walks, shared and read-only
+DIP_GRID = default_grid()
+DIP_GRID.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class DipReport:
     """Refined location of a spectral dip."""
@@ -237,9 +260,10 @@ def find_dip(trace: SpectrumTrace,
 
     The search is global because a bare trace carries no prediction of
     where its dip lies; spectrum_dip narrows the trace to one first.
-    refine maps a probe offset in MHz to the linear model value; the
-    bracket around the best grid point is narrowed by golden section to
-    DIP_WIDTH_MHZ.  A trace without a strict minimum is rejected.
+    refine maps a probe offset in MHz, passed as a Python float, to the
+    linear model value; the bracket around the best grid point is narrowed
+    by golden section to DIP_WIDTH_MHZ.  A trace without a strict minimum
+    is rejected.
     """
     if trace.grid.size < 3:
         raise ValidationError("dip search needs at least 3 grid points")
@@ -248,8 +272,8 @@ def find_dip(trace: SpectrumTrace,
     vmin = finite[i]
     if not math.isfinite(vmin) or np.all(finite == vmin):
         raise FlatTraceError("trace has no strict minimum")
-    lo = trace.grid[max(i - 1, 0)]
-    hi = trace.grid[min(i + 1, trace.grid.size - 1)]
+    lo = float(trace.grid[max(i - 1, 0)])
+    hi = float(trace.grid[min(i + 1, trace.grid.size - 1)])
     x, v, width = golden_section_min(refine, lo, hi, DIP_WIDTH_MHZ)
     if v > vmin:  # grid point itself was the better minimum
         x, v, width = trace.grid[i], vmin, DIP_WIDTH_MHZ
@@ -303,7 +327,7 @@ def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
                  floor_db: float) -> DipReport:
     """Dip of the absorption-drive spectrum nearest a predicted zero.
 
-    The search starts on the default_grid point at or just above
+    The search starts on the DIP_GRID point at or just above
     predicted_mhz, the lab-frame location of the tracked eigenvalue, and
     evaluates a window of DIP_WINDOW points on either side.  While the window's minimum sits
     on an inner edge the window moves there, so the search ends on the
@@ -312,14 +336,15 @@ def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
     """
     params = perturbed_system(sym, kappa1, kappa2, delta_b)
     drive = cpa_drive(params)
-    grid = default_grid()
-    last = grid.size - 1
-    i = min(int(np.searchsorted(grid, predicted_mhz)), last)
+    last = DIP_GRID.size - 1
+    i = min(int(np.searchsorted(DIP_GRID, predicted_mhz)), last)
     while True:
         lo, hi = max(i - DIP_WINDOW, 0), min(i + DIP_WINDOW, last)
-        trace = total_output_spectrum(params, drive, grid[lo:hi + 1], floor_db)
+        trace = total_output_spectrum(params, drive, DIP_GRID[lo:hi + 1],
+                                      floor_db)
         j = lo + int(np.argmin(np.where(trace.pole_mask, math.inf, trace.values)))
         if j == i or not (j == lo > 0 or j == hi < last):
             break
         i = j
-    return find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))
+    power = output_power(params, drive)
+    return find_dip(trace, lambda nu: float(power(mhz(nu))))

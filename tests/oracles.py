@@ -22,16 +22,57 @@ from trimag.params import (
 )
 from trimag.spectrum import (
     CSV_HEADER,
+    POLE_TOL,
     DipReport,
+    ScatteringPoleError,
     SpectrumTrace,
+    _any,
     cpa_drive,
     default_grid,
     find_dip,
-    mn_functions,
+    output_power,
     perturbed_system,
-    total_output,
     total_output_spectrum,
 )
+
+
+def mn_functions(params: SystemParams, omega: float | np.ndarray):
+    """Response functions (m, n) at probe offset omega (rad/us).
+
+    Requires gamma_j > 0 whenever the probe can sit on the corresponding
+    magnon line; a zero-damping magnon probed exactly on resonance is a
+    genuine pole and is rejected.
+    """
+    d1 = omega - params.delta1
+    d2 = omega - params.delta2
+    l1 = d1 * d1 + params.gamma1 * params.gamma1
+    l2 = d2 * d2 + params.gamma2 * params.gamma2
+    if _any(l1 == 0) or _any(l2 == 0):
+        raise ScatteringPoleError(
+            "undamped magnon probed on resonance (zero Lorentzian width)")
+    g1sq = params.g1 * params.g1
+    g2sq = params.g2 * params.g2
+    m = (-(params.kappa1 + params.kappa2 + params.kappa_int)
+         - g1sq * params.gamma1 / l1 - g2sq * params.gamma2 / l2)
+    n = omega - g1sq * d1 / l1 - g2sq * d2 / l2
+    return m, n
+
+
+def total_output_reference(params: SystemParams, drive: DriveParams, omega):
+    """|S1|^2 + |S2|^2 at probe offset omega (rad/us), every constant
+    recomputed per call: the form spectrum.output_power must equal bit for
+    bit."""
+    m, n = mn_functions(params, omega)
+    den = m + 1j * n
+    scale = max(params.kappa1 + params.kappa2 + params.kappa_int,
+                params.gamma1, params.gamma2, 1e-30)
+    if _any(abs(den) < POLE_TOL * scale):
+        raise ScatteringPoleError("scattering pole: |m + i n| ~ 0")
+    x = drive.amplitude
+    t = -2.0 * math.sqrt(params.kappa1 * params.kappa2) / den
+    s1 = (-1.0 - 2.0 * params.kappa1 / den) * x + t
+    s2 = (-1.0 - 2.0 * params.kappa2 / den) + t * x
+    return np.abs(s1) ** 2 + np.abs(s2) ** 2
 
 
 def symmetric_hamiltonian(sym: SymmetricParams) -> np.ndarray:
@@ -167,7 +208,7 @@ def m_symmetric_form(sym: SymmetricParams, kappa1: float, kappa2: float,
                      omega):
     """m(Omega) written with the balanced-gain constant 2*gamma - 2*k1 - 2*k2.
 
-    Equal to spectrum.mn_functions's m whenever
+    Equal to mn_functions's m whenever
     kappa_int = kappa1 + kappa2 - 2*gamma.
     """
     gsq = sym.g * sym.g
@@ -237,7 +278,8 @@ def global_spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
     params = perturbed_system(sym, kappa1, kappa2, delta_b)
     drive = cpa_drive(params)
     trace = total_output_spectrum(params, drive, default_grid(), floor_db)
-    return find_dip(trace, lambda nu: float(total_output(params, drive, mhz(nu))))
+    power = output_power(params, drive)
+    return find_dip(trace, lambda nu: float(power(mhz(nu))))
 
 
 def trace_to_csv_per_row(trace: SpectrumTrace) -> str:

@@ -23,7 +23,6 @@ from trimag.sensing import (
 )
 from trimag.spectrum import (
     cpa_drive,
-    mn_functions,
     perturbed_system,
     total_output,
 )
@@ -34,6 +33,7 @@ from oracles import (
     eigenvectors_on_manifold,
     is_pseudo_hermitian_spectrum,
     m_symmetric_form,
+    mn_functions,
     multiset_distance,
 )
 from test_spectrum import random_system, steady_state_oracle

@@ -267,6 +267,27 @@ class TestCliContract:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta_b,code,message", [
+        ("1e-25", 3, "numerical failure: tracked shift at delta_b = 1e-25 MHz "
+                     "is not positive"),
+        ("1e-300", 3, "numerical failure: tracked shift at delta_b = 1e-300 "
+                      "MHz is not positive"),
+        ("0", 2, "error: --delta-b-mhz must be > 0"),
+        ("-1e-25", 2, "error: --delta-b-mhz must be > 0"),
+    ], ids=["tiny", "tinier", "zero", "negative"])
+    def test_report_below_the_resolvable_shift(self, tmp_path, capsys,
+                                               delta_b, code, message):
+        # a positive field change too small for the tracked shift to stay
+        # positive is a numerical limit; a non-positive one is bad input
+        out = tmp_path / "report.json"
+        assert run_cli(["report", f"--delta-b-mhz={delta_b}",
+                        "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,message", [
         (["--points", "2", "--dip"], "dip search needs at least 3 grid points"),
         (["--points", "5", "--span-mhz", "-5"], "--span-mhz must be > 0"),

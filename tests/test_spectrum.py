@@ -6,10 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimag.core import locate_ep3
-from trimag.params import DriveParams, SymmetricParams, SystemParams, ValidationError, mhz
+from trimag import spectrum
+from trimag.params import (
+    DriveParams,
+    SymmetricParams,
+    SystemParams,
+    ValidationError,
+    mhz,
+    to_mhz,
+)
 from trimag.spectrum import (
     CSV_HEADER,
     DEFAULT_FLOOR_DB,
+    DIP_GRID,
+    DIP_WIDTH_MHZ,
     FlatTraceError,
     ScatteringPoleError,
     SpectrumTrace,
@@ -17,7 +27,7 @@ from trimag.spectrum import (
     default_grid,
     find_dip,
     golden_section_min,
-    mn_functions,
+    output_power,
     perturbed_system,
     spectrum_dip,
     to_db,
@@ -29,7 +39,9 @@ from trimag.spectrum import (
 from oracles import (
     cpa_spectrum_closed_form,
     m_symmetric_form,
+    mn_functions,
     total_output_expanded,
+    total_output_reference,
     trace_to_csv_per_row,
 )
 from strategies import float_tables
@@ -113,6 +125,10 @@ POLES = {
     "zero_width": (SystemParams(kappa1=K1, kappa2=K2, kappa_int=KINT,
                                 gamma1=0.0, gamma2=GAMMA, g1=mhz(3), g2=mhz(3),
                                 delta1=mhz(1.0), delta2=mhz(-1.0)), mhz(1.0)),
+    "zero_width_gamma2": (SystemParams(kappa1=K1, kappa2=K2, kappa_int=KINT,
+                                       gamma1=GAMMA, gamma2=0.0, g1=mhz(3),
+                                       g2=mhz(3), delta1=mhz(1.0),
+                                       delta2=mhz(-1.0)), mhz(-1.0)),
     "vanishing_denominator": (SystemParams(kappa1=0.0, kappa2=0.0, kappa_int=0.0,
                                            gamma1=GAMMA, gamma2=GAMMA, g1=0.0,
                                            g2=0.0, delta1=mhz(1.0),
@@ -128,6 +144,67 @@ def test_pole_raised_for_scalar_and_array_probes(pole, probe):
     params, omega = POLES[pole]
     with pytest.raises(ScatteringPoleError):
         total_output(params, DriveParams(p=1.0), probe(omega))
+
+
+def _rate(draw):
+    """A rate in rad/us, drawn in MHz; sometimes exactly zero."""
+    if draw(st.booleans()):
+        return 0.0
+    return mhz(draw(st.floats(0.1, 8.0)))
+
+
+@st.composite
+def systems_and_drives(draw):
+    """A perturbed manifold system under its absorption drive, or any
+    system, magnon dampings and port rates possibly zero, under any drive."""
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.5, 6.0))
+        sym = SymmetricParams.manifold_point(
+            mhz(gamma), mhz(draw(st.floats(gamma, gamma + 6.0))))
+        k1 = draw(st.floats(0.1, 8.0))
+        k2 = draw(st.floats(max(0.1, 2.0 * gamma - k1) + 0.1, 16.0))
+        params = perturbed_system(sym, mhz(k1), mhz(k2),
+                                  mhz(draw(st.floats(-0.05, 0.05))))
+        return params, cpa_drive(params)
+    params = SystemParams(
+        kappa1=_rate(draw), kappa2=_rate(draw), kappa_int=_rate(draw),
+        gamma1=_rate(draw), gamma2=_rate(draw), g1=_rate(draw), g2=_rate(draw),
+        delta1=mhz(draw(st.floats(-5.0, 5.0))),
+        delta2=mhz(draw(st.floats(-5.0, 5.0))))
+    drive = DriveParams(p=draw(st.floats(0.05, 20.0)),
+                        phi=draw(st.floats(-math.pi, math.pi)))
+    return params, drive
+
+
+def _outcome(power, omega):
+    """The value's type and bytes, or the pole it raised."""
+    try:
+        value = power(omega)
+    except ScatteringPoleError:
+        return "pole"
+    return type(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems_and_drives(), data=st.data())
+def test_evaluator_equals_the_reference_bit_for_bit(system, data):
+    params, drive = system
+    # the magnon lines and the cavity are where the poles sit
+    special = [0.0, params.delta1, params.delta2]
+    probes = data.draw(st.lists(
+        st.one_of(st.sampled_from(special), st.floats(-mhz(10.0), mhz(10.0))),
+        min_size=1, max_size=8))
+    kind = data.draw(st.sampled_from(["float", "float64", "array"]))
+    omegas = {"float": probes, "float64": [np.float64(om) for om in probes],
+              "array": [np.array(probes)]}[kind]
+    power = output_power(params, drive)
+    for omega in omegas:
+        # the reference on numpy scalars: a Python-float probe, as find_dip
+        # passes, must give what an np.float64 probe gave before
+        expected = _outcome(
+            lambda om: total_output_reference(params, drive, np.float64(om)),
+            omega)
+        assert _outcome(power, omega) == expected
 
 
 class TestOutputAmplitudes:
@@ -297,6 +374,35 @@ class TestFindDip:
         s = math.sqrt(3 * 4.59 ** 2 - 4 * 3.0 ** 2)
         dip = spectrum_dip(sym, K1, K2, 0.0, zero * (s - 0.3), -120.0)
         assert dip.dip_location == pytest.approx(zero * s, abs=1e-5)
+
+    @pytest.mark.parametrize("g_mhz,delta_b_mhz,predicted_mhz", [
+        (None, 0.025, 0.0), (4.59, 0.0, 4.9)], ids=["ep3", "g459"])
+    def test_refine_makes_24_evaluations(self, monkeypatch, g_mhz,
+                                         delta_b_mhz, predicted_mhz):
+        # golden section from a two-step bracket of the default grid down
+        # to DIP_WIDTH_MHZ: 2 + 21 narrowing steps + the midpoint; the
+        # window's trace builds its own evaluator and probes with arrays
+        probes = []
+        build = spectrum.output_power
+
+        def counted(params, drive):
+            power = build(params, drive)
+
+            def evaluate(omega):
+                probes.append(omega)
+                return power(omega)
+            return evaluate
+
+        monkeypatch.setattr(spectrum, "output_power", counted)
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        dip = spectrum_dip(sym, K1, K2, mhz(delta_b_mhz), predicted_mhz, -120.0)
+        refine = [om for om in probes if not isinstance(om, np.ndarray)]
+        assert len(refine) == 24
+        assert all(type(om) is float for om in refine)
+        assert dip.refinement_width <= DIP_WIDTH_MHZ
+        step = DIP_GRID[1] - DIP_GRID[0]
+        assert all(abs(to_mhz(om) - dip.dip_location) <= step for om in refine)
 
     def test_flat_trace_reported(self):
         grid = np.linspace(0, 1, 11)
