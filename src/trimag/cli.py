@@ -407,9 +407,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(word: str) -> bool:
+    if not word.startswith("-"):
+        return False
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Write each `--flag -1e-3` pair as `--flag=-1e-3`.
+
+    argparse reads a word that starts with "-" as a flag unless it looks
+    like a plain negative number, and -1e-3 or -inf do not; attached,
+    such a value reaches the command's own checks.
+    """
+    out = []
+    for word in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _is_negative_number(word)):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_numbers(
+        sys.argv[1:] if argv is None else list(argv)))
     try:
         _check_numbers(args)
         # a floating-point overflow or invalid operation is a numerical

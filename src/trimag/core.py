@@ -25,17 +25,19 @@ from .cubic import CubicCoeffs, ComplexTriple
 from .params import SymmetricParams
 
 
-def cubic_coeffs(sym: SymmetricParams) -> CubicCoeffs:
+def cubic_coeffs(gamma, g, delta) -> CubicCoeffs:
     """Characteristic cubic x**3 + c1*x + c0 of the symmetric mode matrix.
 
     c0 = 2i*gamma*(delta^2 + gamma^2 - g^2) vanishes exactly on the
     balanced manifold; c1 = 3*gamma^2 - 2*g^2 - delta^2.  Both are
-    evaluated literally, with no snapping of small values.
+    evaluated literally, with no snapping of small values.  gamma, g and
+    delta are the fields of a SymmetricParams, or arrays that broadcast
+    together (then c0 and c1 are arrays of that shape, with the bits each
+    point's own call gives).
     """
-    gamma, g, delta = sym.gamma, sym.g, sym.delta
     c0 = 2j * gamma * (delta * delta + gamma * gamma - g * g)
     c1 = 3.0 * gamma * gamma - 2.0 * g * g - delta * delta
-    return CubicCoeffs(c0=c0, c1=complex(c1))
+    return CubicCoeffs(c0=c0, c1=c1 + 0j)
 
 
 def eigenvalues_on_manifold(sym: SymmetricParams) -> ComplexTriple:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import cubic_coeffs, locate_ep3
-from .cubic import cardano_roots, match_to_previous
+from .cubic import cardano_roots_batch, match_to_previous
 from .params import (
     DEFAULT_TOL,
     GAMMA_MHZ,
@@ -40,13 +40,18 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def eigenvalue_surfaces(gamma: float, g_grid, d_grid) -> np.ndarray:
     """Eigenvalues (rad/us) over (delta, g), shape (len(d_grid), len(g_grid), 3).
 
-    Each point is solved by the scalar closed form.  At the first g the
-    three roots are sorted by (real, imag); after that the branches are
-    continued along g, all delta rows together, one g column at a time.
+    The cubics of all grid points are solved in one batched call, which
+    gives each point the bits of its own scalar closed form.  At the first
+    g the three roots are sorted by (real, imag); after that the branches
+    are continued along g, all delta rows together, one g column at a time.
     """
-    ev = np.array([[tuple(cardano_roots(cubic_coeffs(
-        SymmetricParams(gamma=gamma, g=g, delta=d)))) for g in mhz(g_grid)]
-        for d in mhz(d_grid)])
+    g = mhz(np.asarray(g_grid, dtype=float))
+    d = mhz(np.asarray(d_grid, dtype=float))
+    # every point passes SymmetricParams's checks when the grid's extremes do
+    SymmetricParams(gamma, float(g.min()), float(d.min()))
+    SymmetricParams(gamma, float(g.max()), float(d.max()))
+    coeffs = cubic_coeffs(gamma, g, d[:, None])
+    ev = cardano_roots_batch(coeffs.c0, coeffs.c1).reshape(d.size, g.size, 3)
     first = ev[:, 0]
     ev[:, 0] = np.take_along_axis(first, np.lexsort((first.imag, first.real)),
                                   axis=-1)

@@ -73,6 +73,9 @@ class Perturbation:
             raise ValidationError("delta_b must be finite")
 
 
+_CUBE = np.frompyfunc(lambda b: np.float64(b) ** 3, 1, 1)
+
+
 def _depressed_cubic(sym: SymmetricParams, delta_b) -> CubicCoeffs:
     """Characteristic cubic of the perturbed matrix, trace part removed.
 
@@ -88,9 +91,11 @@ def _depressed_cubic(sym: SymmetricParams, delta_b) -> CubicCoeffs:
     # cubic in w = lambda - delta_b:  w^3 + b w^2 + [(4gam^2-3g^2)+2i gam b] w - g^2 b
     p_w = 4.0 * gam * gam - 3.0 * g2 + 1j * (2.0 * gam * b)
     q_w = -g2 * b + 0j
-    # depress w = x - b/3
+    # depress w = x - b/3; b**3 is taken element by element as a float64
+    # scalar takes it, since numpy's array power rounds differently in the
+    # last bit: a row of an array cubic is the scalar cubic bit for bit
     c1 = p_w - b * b / 3.0
-    c0 = q_w - b * p_w / 3.0 + 2.0 * b ** 3 / 27.0
+    c0 = q_w - b * p_w / 3.0 + 2.0 * np.asarray(_CUBE(b), float) / 27.0
     return CubicCoeffs(c0=c0, c1=c1)
 
 
@@ -111,10 +116,10 @@ def _track(sym: SymmetricParams, delta_bs: np.ndarray, x: complex = 0j,
            fresh: bool = True) -> list[complex]:
     """Continue the central branch from x through delta_bs, in order.
 
-    The cubics of all steps are solved in one batched call; the branch
-    rule of _select_central then runs over the rows.  Returns the batch
-    root picked at each step: it names the branch, and _closed_form gives
-    its value.
+    The cubics of all steps are solved in one batched call, which gives
+    each step the bits of its scalar closed form; the branch rule of
+    _select_central then runs over the rows.  Returns the root picked at
+    each step.
     """
     if not delta_bs.size:
         return []
@@ -125,12 +130,6 @@ def _track(sym: SymmetricParams, delta_bs: np.ndarray, x: complex = 0j,
         fresh = False
         tracked.append(x)
     return tracked
-
-
-def _closed_form(sym: SymmetricParams, delta_b: float, x: complex) -> complex:
-    """Root of the scalar closed form at delta_b nearest the tracked x."""
-    roots = cardano_roots(_depressed_cubic(sym, delta_b))
-    return min(roots, key=lambda r: abs(r - x))
 
 
 def _leading_shift(sym: SymmetricParams, delta_b: float) -> float:
@@ -152,23 +151,21 @@ def central_branch(sym: SymmetricParams, delta_b: float) -> complex:
     root.  Otherwise the pick is ambiguous and the branch is continued
     from zero: the perturbation is ramped from 0 to delta_b in RAMP_STEPS
     steps, solved in one batched call and tracked by nearest-neighbor
-    continuation in the trace-centered frame, and the result is the
-    closed-form root nearest the tracked one.
+    continuation in the trace-centered frame.  The ramp's last step is
+    delta_b itself, so the tracked root is one of the closed form's roots.
     """
     if delta_b == 0.0:
         return 0j
-    # the ramp's last step is a numpy scalar, and its cubic is this one bit
-    # for bit
+    # as a numpy scalar, delta_b gives the cubic of the ramp's last step
+    # (and of an eigenshift_sweep row) bit for bit
     delta_b = np.float64(delta_b)
-    roots = cardano_roots(_depressed_cubic(sym, delta_b))
     if abs(delta_b) <= TRUST_RADIUS * sym.gamma:
+        roots = cardano_roots(_depressed_cubic(sym, delta_b))
         predicted = _leading_shift(sym, delta_b)
         nearest, second, _ = sorted(roots, key=lambda r: abs(r - predicted))
         if abs(nearest - predicted) < SEED_MARGIN * abs(second - predicted):
             return nearest
-    ramp = delta_b * np.linspace(0.0, 1.0, RAMP_STEPS + 1)[1:]
-    x = _track(sym, ramp)[-1]
-    return min(roots, key=lambda r: abs(r - x))
+    return _track(sym, delta_b * np.linspace(0.0, 1.0, RAMP_STEPS + 1)[1:])[-1]
 
 
 def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
@@ -191,11 +188,9 @@ def eigenshift_sweep(sym: SymmetricParams, delta_bs) -> np.ndarray:
     larger than 0.2*gamma, one that crosses zero or one that more than
     doubles or halves |delta_b|: near zero the branches crowd together,
     and continuing across that region can land on another branch.  The
-    batch picks the branch, the scalar gives the value: each run of points
-    is solved in one batched call, and each shift is the root of the
-    scalar closed form nearest the tracked one, so it equals
-    exact_eigenshift at that point wherever both follow the same branch.  delta_bs is in rad/us;
-    zeros give zero shift.
+    rest of each run is solved in one batched call and tracked, so each
+    shift equals exact_eigenshift at that point wherever both follow the
+    same branch.  delta_bs is in rad/us; zeros give zero shift.
     """
     sym.require_manifold()
     bs = np.asarray(delta_bs, dtype=float)
@@ -214,7 +209,7 @@ def eigenshift_sweep(sym: SymmetricParams, delta_bs) -> np.ndarray:
         x = central_branch(sym, bs[first])
         out[first] = to_mhz(x.real)
         for i, tracked in zip(rest, _track(sym, bs[rest], x, False)):
-            out[i] = to_mhz(_closed_form(sym, bs[i], tracked).real)
+            out[i] = to_mhz(tracked.real)
     return out
 
 

@@ -89,6 +89,12 @@ def as_array(triple: ComplexTriple) -> np.ndarray:
     return np.array(list(triple), dtype=complex)
 
 
+def bits(z) -> list[int]:
+    """The bit patterns of a complex number's two parts, signed zeros
+    included."""
+    return np.array([z], dtype=complex).view(np.uint64).tolist()
+
+
 def cubic_scale(coeffs: CubicCoeffs) -> float:
     """Natural magnitude of a root, max(1, |c0|**(1/3), |c1|**(1/2))."""
     return max(1.0, abs(coeffs.c0) ** (1.0 / 3.0), abs(coeffs.c1) ** 0.5)

@@ -71,7 +71,7 @@ def test_criterion_02_triple_degeneracy():
     sym = locate_ep3(GAMMA)
 
     # float evaluation confirms both cubic coefficients vanish to rounding
-    coeffs = cubic_coeffs(sym)
+    coeffs = cubic_coeffs(sym.gamma, sym.g, sym.delta)
     coeffs_ok = (abs(coeffs.c0) <= 1e-12 * GAMMA ** 3
                  and abs(coeffs.c1) <= 1e-12 * GAMMA ** 2)
 
@@ -258,7 +258,7 @@ def test_criterion_09_pseudo_hermitian_symmetry():
     all_closed = True
     for ratio in ratios:
         sym = SymmetricParams.manifold_point(GAMMA, ratio * point.g)
-        roots = cardano_roots(cubic_coeffs(sym))
+        roots = cardano_roots(cubic_coeffs(sym.gamma, sym.g, sym.delta))
         all_closed &= is_pseudo_hermitian_spectrum(roots)
         if ratio * point.g >= point.g:
             worst_imag = max(worst_imag,

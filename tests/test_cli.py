@@ -289,6 +289,33 @@ class TestCliContract:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv,message", [
+        (["report", "--delta-b-mhz", "-1e-3"],
+         "error: --delta-b-mhz must be > 0"),
+        (["report", "--delta-b-mhz", "-inf"],
+         "error: --delta-b-mhz must be finite, got -inf"),
+        (["sweep", "--start-mhz", "-1e-25", "--stop-mhz", "-2e-25"],
+         "error: config: sweep range must be finite with stop > start"),
+    ], ids=["report_exponent", "report_minus_inf", "sweep_exponent"])
+    def test_negative_number_as_its_own_word_reaches_the_command(
+            self, tmp_path, capsys, argv, message):
+        # argparse reads -1e-3 as a flag; the command's own check answers
+        out = tmp_path / "out.txt"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "usage:" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_number_as_its_own_word_is_the_attached_value(
+            self, capsys):
+        argv = ["spectrum", "--g-mhz", "4.59", "--points", "5", "--dip"]
+        assert run_cli([*argv, "--delta-b-mhz", "-1e-3"]) == 0
+        separate = capsys.readouterr()
+        assert run_cli([*argv, "--delta-b-mhz=-1e-3"]) == 0
+        assert capsys.readouterr() == separate
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv,message", [
         (["--points", "2", "--dip"], "dip search needs at least 3 grid points"),
         (["--points", "5", "--span-mhz", "-5"], "--span-mhz must be > 0"),
         (["--points", "5", "--span-mhz", "5e-324"],
@@ -415,30 +442,38 @@ SWEEP_CONFIGS = st.dictionaries(
 
 
 @st.composite
-def _flags(draw, spec: dict) -> list[str]:
-    """Each flag of spec, or not, with a value drawn from its strategy.
+def _flag(draw, flag: str, values) -> list[str]:
+    """flag with a value drawn from values, as one word --flag=value or as
+    two words; True gives the bare flag.  A float is written by str() or in
+    exponent form, so negative values such as -1e-05, -1.000000e-03 or
+    -inf also come as words of their own."""
+    value = draw(values)
+    if value is True:
+        return [flag]
+    if isinstance(value, float) and draw(st.booleans()):
+        value = f"{value:e}"
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, str(value)]
 
-    --flag=value keeps values such as -inf or -1e-05 from reading as flags.
-    """
+
+@st.composite
+def _flags(draw, spec: dict) -> list[str]:
+    """Each flag of spec, or not, with a value drawn from its strategy."""
     argv = []
     for flag, values in spec.items():
-        value = draw(values) if draw(st.booleans()) else None
-        if value is True:
-            argv.append(flag)
-        elif value is not None:
-            argv.append(f"{flag}={value}")
+        if draw(st.booleans()):
+            argv.extend(draw(_flag(flag, values)))
     return argv
 
 
 #: per subcommand: its positional words and required flags, then the
 #: optional flags; paths are relative to the run's directory
 COMMANDS = {
-    "ep3": (st.tuples(_near(0.1, 10.0).map("--gamma-mhz={}".format)), {}),
-    "report": (st.tuples(_near(1e-3, 0.1).map("--delta-b-mhz={}".format)),
+    "ep3": (_flag("--gamma-mhz", _near(0.1, 10.0)), {}),
+    "report": (_flag("--delta-b-mhz", _near(1e-3, 0.1)),
                {"--floor-db": _near(-150.0, -20.0), "--out": OUTPUTS}),
-    "reproduce": (st.tuples(st.sampled_from([*FIGURES, "fig9"])),
+    "reproduce": (st.sampled_from([*FIGURES, "fig9"]).map(lambda f: [f]),
                   {"--outdir": OUTPUTS}),
-    "spectrum": (st.tuples(_near(3.0, 8.0).map("--g-mhz={}".format)), {
+    "spectrum": (_flag("--g-mhz", _near(3.0, 8.0)), {
         "--gamma-mhz": _near(0.5, 3.0), "--delta-mhz": _near(-5.0, 5.0),
         "--kappa1-mhz": _near(3.0, 10.0), "--kappa2-mhz": _near(3.0, 10.0),
         "--drive": st.one_of(st.just("cpa"), st.text(max_size=4),
@@ -447,7 +482,7 @@ COMMANDS = {
         "--points": st.integers(-3, 10 ** 4),
         "--floor-db": _near(-150.0, -20.0), "--dip": st.just(True),
         "--out": OUTPUTS}),
-    "sweep": (st.tuples(), {
+    "sweep": (st.just([]), {
         "--config": st.just("config.json"),
         "--axis": st.sampled_from(["g", "delta", "delta_b"]),
         "--start-mhz": _near(-1.0, 5.0), "--stop-mhz": _near(-1.0, 8.0),
@@ -510,7 +545,7 @@ class TestCliProperty:
         required, optional = COMMANDS[command]
         argv = [command, *data.draw(required), *data.draw(_flags(optional))]
         directory = Path(tempfile.mkdtemp(dir=tmp_path))
-        if "--config=config.json" in argv:
+        if "config.json" in argv or "--config=config.json" in argv:
             (directory / "config.json").write_text(
                 json.dumps(data.draw(SWEEP_CONFIGS)))
         before = sorted(directory.iterdir())

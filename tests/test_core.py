@@ -15,6 +15,7 @@ from trimag.params import SymmetricParams, SystemParams, ValidationError, mhz, t
 
 from oracles import (
     as_array,
+    bits,
     companion_roots,
     eigen_residual,
     eigenvectors_on_manifold,
@@ -33,11 +34,11 @@ def ep3_params(gamma=GAMMA):
 class TestCubicCoeffs:
     def test_manifold_kills_constant_term(self):
         sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
-        coeffs = cubic_coeffs(sym)
+        coeffs = cubic_coeffs(sym.gamma, sym.g, sym.delta)
         assert abs(coeffs.c0) <= 1e-12 * GAMMA ** 3
 
     def test_direct_substitution(self):
-        coeffs = cubic_coeffs(SymmetricParams(gamma=1.0, g=0.0, delta=0.0))
+        coeffs = cubic_coeffs(1.0, 0.0, 0.0)
         assert coeffs.c0 == pytest.approx(2j)
         assert coeffs.c1 == pytest.approx(3.0)
 
@@ -45,9 +46,21 @@ class TestCubicCoeffs:
         # 3.46 / 1.73 are 3-digit roundings of the degeneracy, so both
         # coefficients land close to zero relative to their natural scales
         sym = SymmetricParams(gamma=GAMMA, g=mhz(3.46), delta=mhz(1.73))
-        coeffs = cubic_coeffs(sym)
+        coeffs = cubic_coeffs(sym.gamma, sym.g, sym.delta)
         assert abs(coeffs.c0) <= 0.01 * 2 * GAMMA * (sym.delta ** 2 + GAMMA ** 2)
         assert abs(coeffs.c1) <= 0.01 * 3 * GAMMA ** 2
+
+    def test_array_form_gives_each_points_bits(self):
+        # signed zeros included: c0 = 2i*gamma*s has real part -0.0 where
+        # s < 0, and the closed form's branch cuts see that sign
+        g = mhz(np.linspace(0.0, 8.0, 33))
+        delta = mhz(np.linspace(-5.0, 5.0, 41))
+        grid = cubic_coeffs(GAMMA, g, delta[:, None])
+        for i, d in enumerate(delta.tolist()):
+            for j, gj in enumerate(g.tolist()):
+                point = cubic_coeffs(GAMMA, gj, d)
+                assert bits(grid.c0[i, j]) == bits(point.c0)
+                assert bits(grid.c1[i, j]) == bits(point.c1)
 
 
 class TestManifoldEigenvalues:
@@ -68,7 +81,7 @@ class TestManifoldEigenvalues:
         assert split == pytest.approx(5.216, abs=1e-3)
         assert values.omega2 == -values.omega1
         # closed form agrees with the characteristic cubic
-        cubic = cardano_roots(cubic_coeffs(sym))
+        cubic = cardano_roots(cubic_coeffs(sym.gamma, sym.g, sym.delta))
         assert multiset_distance(values, cubic) <= 1e-9 * GAMMA
 
     def test_branch_convention(self):
@@ -154,7 +167,7 @@ class TestLocateEp3:
         point = locate_ep3(gamma)
         assert point.gamma == gamma
         assert point.on_manifold()
-        coeffs = cubic_coeffs(point)
+        coeffs = cubic_coeffs(point.gamma, point.g, point.delta)
         assert abs(coeffs.c0) <= 1e-12 * gamma ** 3
         assert abs(coeffs.c1) <= 1e-12 * gamma ** 2
         vectors = eigenvectors_on_manifold(point).vectors
@@ -185,7 +198,7 @@ class TestRegimeSplit:
             if g < GAMMA:
                 continue
             sym = SymmetricParams.manifold_point(GAMMA, g)
-            roots = cardano_roots(cubic_coeffs(sym))
+            roots = cardano_roots(cubic_coeffs(sym.gamma, sym.g, sym.delta))
             assert is_pseudo_hermitian_spectrum(roots)
             imags = sorted(abs(x.imag) for x in roots)
             if g >= point.g:

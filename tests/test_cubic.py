@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trimag.core import cubic_coeffs, locate_ep3
 from trimag.cubic import (
     RESIDUAL_TOL,
     ComplexTriple,
@@ -14,6 +15,8 @@ from trimag.cubic import (
     cardano_roots_batch,
     match_to_previous,
 )
+from trimag.params import SymmetricParams, mhz
+from trimag.sensing import TRUST_RADIUS, _depressed_cubic
 
 from oracles import (
     as_array,
@@ -23,6 +26,9 @@ from oracles import (
     max_residual,
     multiset_distance,
 )
+
+
+GAMMA = mhz(3.0)
 
 
 def random_coeffs(rng):
@@ -109,6 +115,18 @@ NEAR_TRIPLE_CUBIC = st.builds(
 TINY_CUBIC = st.builds(
     lambda c0, c1, k: (c0 * 10.0 ** k, c1 * 10.0 ** k),
     COEFFICIENT, COEFFICIENT, st.floats(-300.0, -100.0))
+# subnormal parts, where the square root of the radicand scales it up
+SUBNORMAL_CUBIC = st.builds(
+    lambda c0, c1, k: (c0 * 10.0 ** k, c1 * 10.0 ** k),
+    COEFFICIENT, COEFFICIENT, st.floats(-321.0, -309.0))
+# roots up to 1e51: c0**2 and c1**3 stay finite, so the closed form does
+HUGE_CUBIC = st.builds(
+    lambda c0, c1, k: (c0 * 10.0 ** (3 * k), c1 * 10.0 ** (2 * k)),
+    COEFFICIENT, COEFFICIENT, st.floats(30.0, 50.0))
+ANY_CUBIC = st.one_of(RANDOM_CUBIC, NEAR_TRIPLE_CUBIC, TINY_CUBIC,
+                      SUBNORMAL_CUBIC, HUGE_CUBIC)
+# Python complex and numpy's complex128 give the scalar the same bits
+COEFFICIENT_TYPE = st.sampled_from([complex, np.complex128])
 
 
 def min_separation(triple: ComplexTriple) -> float:
@@ -116,23 +134,63 @@ def min_separation(triple: ComplexTriple) -> float:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(RANDOM_CUBIC, NEAR_TRIPLE_CUBIC, TINY_CUBIC),
-                min_size=1, max_size=12))
-def test_batch_matches_scalar_and_oracle(rows):
+@given(st.lists(ANY_CUBIC, min_size=1, max_size=12), COEFFICIENT_TYPE)
+# c1**3 is real and negative, so |z+| = |z-| and rounding picks the radical
+@example(rows=[(0j, 0j), (0j, 0j), (0j, 0j),
+               (1 + 0j, 2 + 2 * math.sqrt(3) * 1j)], kind=complex)
+def test_batch_matches_scalar_and_oracle(rows, kind):
     c0, c1 = np.array(rows, dtype=complex).T
     batch = cardano_roots_batch(c0, c1)
     assert batch.shape == (len(rows), 3)
     for (a0, a1), got in zip(rows, batch):
-        coeffs = CubicCoeffs(a0, a1)
+        coeffs = CubicCoeffs(kind(a0), kind(a1))
         scale = cubic_scale(coeffs)
         triple = ComplexTriple(*got)
         scalar = cardano_roots(coeffs)
-        assert np.max(np.abs(got - as_array(scalar))) <= 1e-12 * scale
+        # the scalar's roots, bit for bit and in its order
+        assert got.tolist() == list(scalar)
         assert max_residual(triple, coeffs) <= RESIDUAL_TOL * scale ** 3
         # the companion eigensolve loses half the digits at a double root
-        # (Kahan 1986), so the oracle is held to 1e-9 where roots separate
+        # (Kahan 1986), so the oracle is held to 1e-9 where roots separate;
+        # its error grows with the roots, so beyond magnitude 10 the bound
+        # does too
         if min_separation(scalar) > 1e-4 * scale:
-            assert multiset_distance(triple, companion_roots(coeffs)) <= 1e-9
+            assert (multiset_distance(triple, companion_roots(coeffs))
+                    <= 1e-9 * max(1.0, scale / 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_CUBIC)
+@example(row=(1.1 + 0j, complex(-1.46, -0.0)))
+def test_scalar_bits_do_not_depend_on_coefficient_type(row):
+    a0, a1 = row
+    python = cardano_roots(CubicCoeffs(complex(a0), complex(a1)))
+    numpy = cardano_roots(CubicCoeffs(np.complex128(a0), np.complex128(a1)))
+    assert list(numpy) == list(python)
+
+
+def _ramp_cubics(g):
+    sym = locate_ep3(GAMMA) if g is None else SymmetricParams.manifold_point(
+        GAMMA, g)
+    bs = np.linspace(-1.0, 1.0, 6000) * TRUST_RADIUS * sym.gamma
+    coeffs = _depressed_cubic(sym, bs)
+    return coeffs.c0, coeffs.c1
+
+
+def _fig2_cubics():
+    coeffs = cubic_coeffs(GAMMA, mhz(np.linspace(0.0, 8.0, 33)),
+                          mhz(np.linspace(-5.0, 5.0, 41))[:, None])
+    return coeffs.c0.ravel(), coeffs.c1.ravel()
+
+
+@pytest.mark.parametrize("cubics", [
+    _fig2_cubics, lambda: _ramp_cubics(None), lambda: _ramp_cubics(mhz(3.47)),
+], ids=["fig2_surfaces", "ramp_at_ep3", "ramp_at_g3.47"])
+def test_batch_is_the_scalar_on_the_models_cubics(cubics):
+    c0, c1 = cubics()
+    batch = cardano_roots_batch(c0, c1)
+    for a0, a1, got in zip(c0.tolist(), c1.tolist(), batch.tolist()):
+        assert got == list(cardano_roots(CubicCoeffs(a0, a1)))
 
 
 def test_batch_zero_rows_and_empty_input():

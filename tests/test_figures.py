@@ -27,7 +27,8 @@ def surfaces_per_point(gamma, g_grid, d_grid):
         prev, row = None, []
         for g in g_grid:
             sym = SymmetricParams(gamma=gamma, g=mhz(g), delta=mhz(d))
-            ev = as_array(cardano_roots(cubic_coeffs(sym)))
+            ev = as_array(cardano_roots(
+                cubic_coeffs(sym.gamma, sym.g, sym.delta)))
             if prev is None:
                 ev = ev[np.lexsort((ev.imag, ev.real))]
             else:
@@ -135,6 +136,15 @@ def test_surfaces_match_per_point_loop(gamma_mhz, g_grid, d_grid):
     gamma = mhz(gamma_mhz)
     assert np.array_equal(eigenvalue_surfaces(gamma, g_grid, d_grid),
                           surfaces_per_point(gamma, g_grid, d_grid))
+
+
+@pytest.mark.parametrize("g_grid,d_grid", [
+    ([0.0, math.nan], [0.0]), ([-1.0, 2.0], [0.0]), ([0.0, math.inf], [0.0]),
+    ([1.0], [0.0, -math.inf]), ([1.0], [math.nan]),
+], ids=["g_nan", "g_negative", "g_inf", "delta_inf", "delta_nan"])
+def test_surfaces_reject_what_symmetric_params_rejects(g_grid, d_grid):
+    with pytest.raises(ValidationError):
+        eigenvalue_surfaces(mhz(GAMMA_MHZ), np.array(g_grid), np.array(d_grid))
 
 
 def test_ep2_locus_matches_per_delta_roots():

@@ -31,7 +31,7 @@ from trimag.sensing import (
     synthetic_sensitivity,
 )
 
-from oracles import delta_b_of_shift, global_spectrum_dip
+from oracles import bits, delta_b_of_shift, global_spectrum_dip
 
 GAMMA = mhz(3.0)
 
@@ -139,6 +139,20 @@ class TestExactEigenshift:
                 central_branch(sym, delta_b)
         else:
             assert central_branch(sym, delta_b) == expected
+
+    @pytest.mark.parametrize("g_mhz", [None, 3.47, 4.59])
+    def test_array_cubic_rows_are_the_scalar_cubic(self, g_mhz):
+        # a ramp or sweep row and central_branch's numpy-scalar delta_b
+        # give the same coefficients, so the tracked root is a scalar root
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        bs = mhz(np.geomspace(1e-9, 300.0, 3000))
+        bs = np.concatenate([bs, -bs])
+        rows = sensing._depressed_cubic(sym, bs)
+        for i, b in enumerate(bs):
+            point = sensing._depressed_cubic(sym, np.float64(b))
+            assert bits(rows.c0[i]) == bits(point.c0)
+            assert bits(rows.c1[i]) == bits(point.c1)
 
     def test_ambiguous_seed_takes_the_ramp(self, monkeypatch):
         # just above the degeneracy the linear law is no guide at 0.01 MHz
