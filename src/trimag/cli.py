@@ -51,6 +51,10 @@ EXIT_NUMERICAL = 3
 QUANTITIES = ("eigenvalues", "dip", "sensitivity")
 AXES = ("g", "delta", "delta_b")
 
+#: most points a sweep takes; a larger count is refused before its grid is
+#: allocated
+MAX_SWEEP_POINTS = 100_000
+
 
 def _defaults() -> dict:
     """The sweep configuration that --config files and flags override.
@@ -210,6 +214,9 @@ def _sweep_axis_values(config: dict) -> np.ndarray:
     points = _require(config, "sweep", "points", int)
     if points < 2:
         raise ValidationError("config: sweep.points must be >= 2")
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError(f"config: sweep.points must be <= "
+                              f"{MAX_SWEEP_POINTS}, got {points}")
     if not math.isfinite(stop - start) or stop <= start:
         raise ValidationError("config: sweep range must be finite with "
                               "stop > start")
@@ -284,9 +291,11 @@ def cmd_sweep(args) -> int:
     if fmt == "csv":
         _emit(path, csv_text(",".join(header), ["%.12g"] * len(header), rows))
     elif fmt == "json":
-        payload = [dict(zip(header, row))
+        # JSON has no NaN: a row without a value (no manifold point below
+        # the damping) writes null
+        payload = [dict(zip(header, [None if math.isnan(v) else v for v in row]))
                    for row in np.asarray(rows, dtype=float).tolist()]
-        _emit(path, json.dumps(payload, indent=2) + "\n")
+        _emit(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     else:
         raise ValidationError(f"output.format must be csv or json, got {fmt!r}")
     return EXIT_OK

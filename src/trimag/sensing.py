@@ -12,7 +12,9 @@ perturbation drags the eigenvalue centroid by 2*delta_b/3, and that common
 drift is removed so the shift isolates the branch motion that the
 cube-root law describes.  The tracked branch is the one continued from the
 central eigenvalue, disambiguated at the degeneracy by minimal distance
-from the real axis.
+from the real axis.  Each point's shift is found on its own, from the
+leading term of its expansion or by a ramp from zero, so a sweep's column
+does not depend on the grid it is computed on.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ TRUST_RADIUS = 0.5
 #: ramp resolution for single-shot shift evaluation
 RAMP_STEPS = 64
 
+#: ambiguous points whose ramps are solved in one batched call; bounds the
+#: batch's memory (about 50 kB per point) on long sweeps
+RAMP_BATCH_POINTS = 256
+
 #: a seeded pick stands only if its root lies nearer the prediction than
 #: this fraction of the distance to the next-nearest root
 SEED_MARGIN = 0.5
@@ -73,7 +79,13 @@ class Perturbation:
             raise ValidationError("delta_b must be finite")
 
 
-_CUBE = np.frompyfunc(lambda b: np.float64(b) ** 3, 1, 1)
+def _cube(b):
+    """b**3 of a float or a 1-d array, each element as an np.float64
+    scalar takes it: numpy's array power rounds differently in the last
+    bit."""
+    if np.ndim(b) == 0:
+        return np.float64(b) ** 3
+    return np.array([x ** 3 for x in b], dtype=float)
 
 
 def _depressed_cubic(sym: SymmetricParams, delta_b) -> CubicCoeffs:
@@ -91,45 +103,51 @@ def _depressed_cubic(sym: SymmetricParams, delta_b) -> CubicCoeffs:
     # cubic in w = lambda - delta_b:  w^3 + b w^2 + [(4gam^2-3g^2)+2i gam b] w - g^2 b
     p_w = 4.0 * gam * gam - 3.0 * g2 + 1j * (2.0 * gam * b)
     q_w = -g2 * b + 0j
-    # depress w = x - b/3; b**3 is taken element by element as a float64
-    # scalar takes it, since numpy's array power rounds differently in the
-    # last bit: a row of an array cubic is the scalar cubic bit for bit
+    # depress w = x - b/3; with _cube, a row of an array cubic is the
+    # scalar cubic bit for bit
     c1 = p_w - b * b / 3.0
-    c0 = q_w - b * p_w / 3.0 + 2.0 * np.asarray(_CUBE(b), float) / 27.0
+    c0 = q_w - b * p_w / 3.0 + 2.0 * _cube(b) / 27.0
     return CubicCoeffs(c0=c0, c1=c1)
 
 
-def _select_central(roots, previous: complex, gamma: float,
-                    fresh: bool) -> complex:
-    in_radius = [r for r in roots if abs(r - previous) <= TRUST_RADIUS * gamma]
-    if not in_radius:
+def _ramp(sym: SymmetricParams, delta_bs: np.ndarray) -> np.ndarray:
+    """The central branch at each delta_b, continued from zero.
+
+    Each perturbation is ramped from 0 to its delta_b in RAMP_STEPS steps;
+    the cubics of all rows' steps are solved in one batched call, which
+    gives each step the bits of its scalar closed form, and the rows are
+    tracked in lock step by nearest-neighbor continuation in the
+    trace-centered frame.  A row's last step is its delta_b itself, so its
+    tracked root is one of the closed form's roots there.
+    """
+    fractions = np.linspace(0.0, 1.0, RAMP_STEPS + 1)[1:]
+    coeffs = _depressed_cubic(sym, (delta_bs[:, None] * fractions).ravel())
+    steps = cardano_roots_batch(coeffs.c0, coeffs.c1).reshape(
+        delta_bs.size, RAMP_STEPS, 3).transpose(1, 0, 2)
+    radius = TRUST_RADIUS * sym.gamma
+    rows = np.arange(delta_bs.size)
+    # at the degeneracy all three branches emanate from the origin; the
+    # observable one stays closest to the real axis
+    first = steps[0]
+    off_axis = np.where(np.abs(first) <= radius, np.abs(first.imag), np.inf)
+    key = np.where(off_axis == off_axis.min(axis=1, keepdims=True),
+                   -np.abs(first.real), np.inf)
+    pick = key.argmin(axis=1)
+    lost = np.isinf(off_axis.min(axis=1)).any()
+    # for each root of a step, the nearest root of the next step within the
+    # trust radius, for all steps at once; the walk then only follows it
+    distance = np.abs(steps[1:, :, None, :] - steps[:-1, :, :, None])
+    key = np.where(distance <= radius, distance, np.inf)
+    successor = key.argmin(axis=3)
+    stranded = np.isinf(key.min(axis=3))
+    path = np.empty((RAMP_STEPS - 1, delta_bs.size), dtype=int)
+    for step, nearest in enumerate(successor):
+        path[step] = pick
+        pick = nearest[rows, pick]
+    if lost or stranded[np.arange(RAMP_STEPS - 1)[:, None], rows, path].any():
         raise BranchTrackingError(
             "central eigenvalue branch left the continuation trust radius")
-    if fresh:
-        # at the degeneracy all three branches emanate from the origin;
-        # the observable one stays closest to the real axis
-        return min(in_radius, key=lambda r: (abs(r.imag), -abs(r.real)))
-    return min(in_radius, key=lambda r: abs(r - previous))
-
-
-def _track(sym: SymmetricParams, delta_bs: np.ndarray, x: complex = 0j,
-           fresh: bool = True) -> list[complex]:
-    """Continue the central branch from x through delta_bs, in order.
-
-    The cubics of all steps are solved in one batched call, which gives
-    each step the bits of its scalar closed form; the branch rule of
-    _select_central then runs over the rows.  Returns the root picked at
-    each step.
-    """
-    if not delta_bs.size:
-        return []
-    coeffs = _depressed_cubic(sym, delta_bs)
-    tracked = []
-    for roots in cardano_roots_batch(coeffs.c0, coeffs.c1).tolist():
-        x = _select_central(roots, x, sym.gamma, fresh)
-        fresh = False
-        tracked.append(x)
-    return tracked
+    return steps[-1, rows, pick]
 
 
 def _leading_shift(sym: SymmetricParams, delta_b: float) -> float:
@@ -141,31 +159,40 @@ def _leading_shift(sym: SymmetricParams, delta_b: float) -> float:
     return linear_response(sym, delta_b) - 2.0 * delta_b / 3.0
 
 
-def central_branch(sym: SymmetricParams, delta_b: float) -> complex:
-    """Central eigenvalue branch at delta_b, seeded from its leading term.
+def central_branch(sym: SymmetricParams, delta_b):
+    """Central eigenvalue branch at delta_b (rad/us), trace-centered: a
+    complex for a float, a complex array for a 1-d array of delta_b.
 
-    The scalar closed form is solved once at delta_b, and its root nearest
-    the leading term of the branch's expansion (_leading_shift) is taken
-    if |delta_b| lies within the trust radius and that root is nearer the
-    prediction than SEED_MARGIN times the distance to the next-nearest
-    root.  Otherwise the pick is ambiguous and the branch is continued
-    from zero: the perturbation is ramped from 0 to delta_b in RAMP_STEPS
-    steps, solved in one batched call and tracked by nearest-neighbor
-    continuation in the trace-centered frame.  The ramp's last step is
-    delta_b itself, so the tracked root is one of the closed form's roots.
+    Each point is taken on its own, whatever the others are.  The scalar
+    closed form is solved at delta_b, and its root nearest the leading
+    term of the branch's expansion (_leading_shift) is taken if |delta_b|
+    lies within the trust radius and that root is nearer the prediction
+    than SEED_MARGIN times the distance to the next-nearest root.
+    Otherwise the pick is ambiguous and the branch is continued from zero
+    by _ramp, RAMP_BATCH_POINTS such points at a time.  Zeros give zero.
     """
-    if delta_b == 0.0:
-        return 0j
-    # as a numpy scalar, delta_b gives the cubic of the ramp's last step
-    # (and of an eigenshift_sweep row) bit for bit
-    delta_b = np.float64(delta_b)
-    if abs(delta_b) <= TRUST_RADIUS * sym.gamma:
-        roots = cardano_roots(_depressed_cubic(sym, delta_b))
-        predicted = _leading_shift(sym, delta_b)
-        nearest, second, _ = sorted(roots, key=lambda r: abs(r - predicted))
-        if abs(nearest - predicted) < SEED_MARGIN * abs(second - predicted):
-            return nearest
-    return _track(sym, delta_b * np.linspace(0.0, 1.0, RAMP_STEPS + 1)[1:])[-1]
+    bs = np.asarray(delta_b, dtype=float).reshape(-1)
+    out = np.zeros(bs.size, dtype=complex)
+    # an array row gives the scalar cubic of its delta_b bit for bit; a
+    # lone point takes the scalar cubic, which costs half as much
+    coeffs = _depressed_cubic(sym, bs if bs.size != 1 else bs[0])
+    c0, c1 = np.atleast_1d(coeffs.c0).tolist(), np.atleast_1d(coeffs.c1).tolist()
+    ramped = []
+    for i, b in enumerate(bs.tolist()):
+        if b == 0.0:
+            continue
+        if abs(b) <= TRUST_RADIUS * sym.gamma:
+            roots = cardano_roots(CubicCoeffs(c0[i], c1[i]))
+            predicted = _leading_shift(sym, b)
+            nearest, second, _ = sorted(roots, key=lambda r: abs(r - predicted))
+            if abs(nearest - predicted) < SEED_MARGIN * abs(second - predicted):
+                out[i] = nearest
+                continue
+        ramped.append(i)
+    for start in range(0, len(ramped), RAMP_BATCH_POINTS):
+        batch = ramped[start:start + RAMP_BATCH_POINTS]
+        out[batch] = _ramp(sym, bs[batch])
+    return out if np.ndim(delta_b) else complex(out[0])
 
 
 def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
@@ -181,36 +208,13 @@ def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
 
 
 def eigenshift_sweep(sym: SymmetricParams, delta_bs) -> np.ndarray:
-    """Central-branch shifts (MHz) along a delta_b axis.
+    """Central-branch shifts (MHz) along a delta_b axis (rad/us).
 
-    Continuation runs along the sweep axis.  The branch is seeded or
-    ramped by central_branch at the first point and again after a step
-    larger than 0.2*gamma, one that crosses zero or one that more than
-    doubles or halves |delta_b|: near zero the branches crowd together,
-    and continuing across that region can land on another branch.  The
-    rest of each run is solved in one batched call and tracked, so each
-    shift equals exact_eigenshift at that point wherever both follow the
-    same branch.  delta_bs is in rad/us; zeros give zero shift.
+    Each shift is central_branch at its own point, so the column does not
+    depend on the grid it sits on.
     """
     sym.require_manifold()
-    bs = np.asarray(delta_bs, dtype=float)
-    out = np.zeros(bs.size)
-    runs, prev = [], 0.0
-    for i, b in enumerate(bs.tolist()):
-        if b == 0.0:
-            continue
-        # prev = 0 makes the first point a re-seed
-        if (abs(b - prev) > 0.2 * sym.gamma or b * prev < 0
-                or abs(b) > 2.0 * abs(prev) or abs(prev) > 2.0 * abs(b)):
-            runs.append([])
-        runs[-1].append(i)
-        prev = b
-    for first, *rest in runs:
-        x = central_branch(sym, bs[first])
-        out[first] = to_mhz(x.real)
-        for i, tracked in zip(rest, _track(sym, bs[rest], x, False)):
-            out[i] = to_mhz(tracked.real)
-    return out
+    return to_mhz(central_branch(sym, np.atleast_1d(delta_bs)).real)
 
 
 def cube_root_response(g_ep3: float, delta_b: float) -> float:
@@ -353,8 +357,9 @@ class SensitivityChain:
     """The sensing chain over an axis of field changes delta_b (MHz).
 
     delta_b -> trace-centred shift of the central branch (one
-    eigenshift_sweep) -> refined dip of the perturbed absorption spectrum
-    nearest the zero that shift predicts (one spectrum_dip per point) ->
+    eigenshift_sweep: central_branch at each point) -> refined dip of the
+    perturbed absorption spectrum nearest the zero that shift predicts
+    (one spectrum_dip walking every point's window in lock step) ->
     g_ep3, g_cpa, g_syn -> the detectable field change.  Each column is
     computed when first read, so a reader pays only for what it reads.
     The shift and the dip exist at any manifold point; the factors only at
@@ -389,10 +394,10 @@ class SensitivityChain:
         """Dip of each perturbed absorption spectrum nearest the zero that
         the tracked branch predicts, at delta_omega + 2*delta_b/3 in the
         lab frame."""
-        return [spectrum_dip(self.sym, self.kappa1, self.kappa2, mhz(b),
-                             shift + 2.0 * b / 3.0, self.floor_db)
-                for b, shift in zip(self.delta_b.tolist(),
-                                    self.delta_omega.tolist())]
+        return spectrum_dip(self.sym, self.kappa1, self.kappa2,
+                            mhz(self.delta_b),
+                            self.delta_omega + 2.0 * self.delta_b / 3.0,
+                            self.floor_db)
 
     @cached_property
     def dip_db(self) -> np.ndarray:

@@ -86,8 +86,12 @@ def output_power(params: SystemParams, drive: DriveParams):
     real arithmetic on Python floats; the denominator is then an
     np.complex128, so the divisions, np.abs and ** 2 run on numpy scalars,
     and a float probe gives the bits its np.float64 gives.
+
+    power(omega, delta1, delta2) evaluates the system with other magnon
+    detunings: columns of them evaluate a stack of systems that differ
+    only there, one per row of omega, each value with the bits that
+    system's own evaluator gives.
     """
-    delta1, delta2 = params.delta1, params.delta2
     gamma1sq = params.gamma1 * params.gamma1
     gamma2sq = params.gamma2 * params.gamma2
     g1sq = params.g1 * params.g1
@@ -104,7 +108,7 @@ def output_power(params: SystemParams, drive: DriveParams):
     reflection1 = 2.0 * params.kappa1
     reflection2 = 2.0 * params.kappa2
 
-    def power(omega):
+    def power(omega, delta1=params.delta1, delta2=params.delta2):
         d1 = omega - delta1
         d2 = omega - delta2
         l1 = d1 * d1 + gamma1sq
@@ -206,10 +210,15 @@ def total_output_spectrum(params: SystemParams, drive: DriveParams,
             except ScatteringPoleError:
                 values[i] = math.nan
                 poles[i] = True
-    values_db = np.where(poles, math.nan, to_db(np.where(poles, 1.0, values),
-                                                floor_db))
-    return SpectrumTrace(grid=grid_mhz, values=values, values_db=values_db,
+    return SpectrumTrace(grid=grid_mhz, values=values,
+                         values_db=_db_channel(values, poles, floor_db),
                          floor_db=floor_db, pole_mask=poles)
+
+
+def _db_channel(values: np.ndarray, poles: np.ndarray, floor_db: float):
+    """A trace's dB channel: to_db of its values, NaN at its poles."""
+    return np.where(poles, math.nan, to_db(np.where(poles, 1.0, values),
+                                           floor_db))
 
 
 def default_grid(span_mhz: float = 10.0, points: int = 2001) -> np.ndarray:
@@ -220,6 +229,28 @@ def default_grid(span_mhz: float = 10.0, points: int = 2001) -> np.ndarray:
 #: the default_grid that spectrum_dip walks, shared and read-only
 DIP_GRID = default_grid()
 DIP_GRID.flags.writeable = False
+
+
+def _dip_walk_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per DIP_GRID point: the grid indices of the window centred on it,
+    cut at the grid's ends by repeating the end point (a repeat keeps
+    argmin on the first of equal values); the window's probe offsets in
+    rad/us; and where the walk moves from it: to the window's first point
+    unless that is the grid's first, or to its last unless that is the
+    grid's last."""
+    last = DIP_GRID.size - 1
+    windows = np.clip(np.arange(DIP_GRID.size)[:, None]
+                      + np.arange(-DIP_WINDOW, DIP_WINDOW + 1), 0, last)
+    moves = np.zeros(windows.shape, dtype=bool)
+    moves[:, 0] = windows[:, 0] > 0
+    moves[:, -1] = windows[:, -1] < last
+    tables = (windows, mhz(DIP_GRID[windows]), moves)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+_DIP_WINDOWS, _DIP_OMEGA, _DIP_MOVES = _dip_walk_tables()
 
 
 @dataclass(frozen=True)
@@ -323,28 +354,69 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
 
 
 def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
-                 delta_b: float, predicted_mhz: float,
-                 floor_db: float) -> DipReport:
-    """Dip of the absorption-drive spectrum nearest a predicted zero.
+                 delta_b, predicted_mhz, floor_db: float) -> list[DipReport]:
+    """Dip of each absorption-drive spectrum nearest its predicted zero.
 
-    The search starts on the DIP_GRID point at or just above
-    predicted_mhz, the lab-frame location of the tracked eigenvalue, and
-    evaluates a window of DIP_WINDOW points on either side.  While the window's minimum sits
-    on an inner edge the window moves there, so the search ends on the
-    grid's local minimum downhill of the prediction; find_dip then refines
-    it.  delta_b (rad/us) shifts both magnon lines.
+    Row k shifts both magnon lines by delta_b[k] (rad/us) and predicts its
+    zero at predicted_mhz[k], the lab-frame location of the tracked
+    eigenvalue.  Each row's search starts on the DIP_GRID point at or just
+    above its prediction and evaluates a window of DIP_WINDOW points on
+    either side.  While a window's minimum sits on an inner edge the
+    window moves there, so the search ends on the grid's local minimum
+    downhill of the prediction; find_dip then refines it with that row's
+    own evaluator.  The rows walk in lock step: each step evaluates the
+    windows of the rows still moving in one array call, with each value's
+    bits as the row's own 9-point trace gives them.  A step whose windows
+    hold a scattering pole samples each window through
+    total_output_spectrum instead, which evaluates a pole's window point by
+    point and flags the poles.
     """
-    params = perturbed_system(sym, kappa1, kappa2, delta_b)
-    drive = cpa_drive(params)
-    last = DIP_GRID.size - 1
-    i = min(int(np.searchsorted(DIP_GRID, predicted_mhz)), last)
+    delta_b = np.asarray(delta_b, dtype=float).reshape(-1)
+    systems = [perturbed_system(sym, kappa1, kappa2, b)
+               for b in delta_b.tolist()]
+    if not systems:
+        return []
+    drive = cpa_drive(systems[0])
+    # the rows differ only in their detunings, so one evaluator walks them
+    stack = output_power(systems[0], drive)
+    detunings = np.array([[system.delta1, system.delta2] for system in systems])
+    centre = np.minimum(np.searchsorted(DIP_GRID, predicted_mhz),
+                        DIP_GRID.size - 1)
+    values = np.empty((delta_b.size, _DIP_WINDOWS.shape[1]))
+    poles = np.zeros(values.shape, dtype=bool)
+    moving = np.arange(delta_b.size)
     while True:
-        lo, hi = max(i - DIP_WINDOW, 0), min(i + DIP_WINDOW, last)
-        trace = total_output_spectrum(params, drive, DIP_GRID[lo:hi + 1],
-                                      floor_db)
-        j = lo + int(np.argmin(np.where(trace.pole_mask, math.inf, trace.values)))
-        if j == i or not (j == lo > 0 or j == hi < last):
+        i = centre[moving]
+        delta = detunings[moving]
+        try:
+            found = stack(_DIP_OMEGA[i], delta[:, :1], delta[:, 1:])
+        except ScatteringPoleError:
+            for row, points in zip(moving.tolist(), _DIP_WINDOWS[i]):
+                lo = points[0]
+                trace = total_output_spectrum(
+                    systems[row], drive, DIP_GRID[lo:points[-1] + 1], floor_db)
+                values[row] = trace.values[points - lo]
+                poles[row] = trace.pole_mask[points - lo]
+            found = np.where(poles[moving], math.inf, values[moving])
+        else:
+            values[moving] = found
+            poles[moving] = False
+        k = found.argmin(axis=1)
+        walks = _DIP_MOVES[i, k]
+        if not walks.any():
             break
-        i = j
-    power = output_power(params, drive)
-    return find_dip(trace, lambda nu: float(power(mhz(nu))))
+        centre[moving[walks]] = _DIP_WINDOWS[i[walks], k[walks]]
+        moving = moving[walks]
+    values_db = _db_channel(values, poles, floor_db)
+    dips = []
+    last = DIP_GRID.size - 1
+    for row, (system, i) in enumerate(zip(systems, centre.tolist())):
+        lo, hi = max(i - DIP_WINDOW, 0), min(i + DIP_WINDOW, last)
+        cut = slice(lo - i + DIP_WINDOW, hi - i + DIP_WINDOW + 1)
+        trace = SpectrumTrace(grid=DIP_GRID[lo:hi + 1], values=values[row, cut],
+                              values_db=values_db[row, cut], floor_db=floor_db,
+                              pole_mask=poles[row, cut])
+        # the walk's evaluator is row 0's own
+        power = output_power(system, drive) if row else stack
+        dips.append(find_dip(trace, lambda nu: float(power(mhz(nu)))))
+    return dips

@@ -22,6 +22,8 @@ from trimag.params import (
 )
 from trimag.spectrum import (
     CSV_HEADER,
+    DIP_GRID,
+    DIP_WINDOW,
     POLE_TOL,
     DipReport,
     ScatteringPoleError,
@@ -284,6 +286,29 @@ def global_spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
     params = perturbed_system(sym, kappa1, kappa2, delta_b)
     drive = cpa_drive(params)
     trace = total_output_spectrum(params, drive, default_grid(), floor_db)
+    power = output_power(params, drive)
+    return find_dip(trace, lambda nu: float(power(mhz(nu))))
+
+
+def spectrum_dip_per_point(sym: SymmetricParams, kappa1: float,
+                           kappa2: float, delta_b: float,
+                           predicted_mhz: float, floor_db: float) -> DipReport:
+    """The dip nearest a predicted zero for one delta_b (rad/us), walked
+    on its own: each window of DIP_WINDOW points on either side is one
+    total_output_spectrum call, moved while its minimum sits on an inner
+    edge, and find_dip refines the last one."""
+    params = perturbed_system(sym, kappa1, kappa2, delta_b)
+    drive = cpa_drive(params)
+    last = DIP_GRID.size - 1
+    i = min(int(np.searchsorted(DIP_GRID, predicted_mhz)), last)
+    while True:
+        lo, hi = max(i - DIP_WINDOW, 0), min(i + DIP_WINDOW, last)
+        trace = total_output_spectrum(params, drive, DIP_GRID[lo:hi + 1],
+                                      floor_db)
+        j = lo + int(np.argmin(np.where(trace.pole_mask, math.inf, trace.values)))
+        if j == i or not (j == lo > 0 or j == hi < last):
+            break
+        i = j
     power = output_power(params, drive)
     return find_dip(trace, lambda nu: float(power(mhz(nu))))
 

@@ -128,6 +128,17 @@ class TestSweepCommand:
         split = np.sqrt(3 * 8.0 ** 2 - 4 * 3.0 ** 2)
         assert float(last[3]) == pytest.approx(split, rel=1e-9)
 
+    def test_json_sweep_is_strict_json(self, tmp_path):
+        # below the damping a g sweep has no manifold point: null, not NaN
+        out = tmp_path / "sweep.json"
+        assert run_cli(["sweep", "--axis", "g", "--start-mhz", "1",
+                        "--stop-mhz", "8", "--points", "3", "--format", "json",
+                        "--out", str(out)]) == 0
+        first, rows = _rows(out.read_text())
+        assert first == "g_mhz"
+        assert np.isnan(rows[0, 1:]).all() and np.isfinite(rows[1:]).all()
+        assert '"re0_mhz": null' in out.read_text()
+
     def test_dip_sweep_tracks_eigenshift(self, tmp_path):
         out = tmp_path / "dip.json"
         assert run_cli(["sweep", "--axis", "delta_b", "--start-mhz", "0.005",
@@ -147,6 +158,10 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--axis", "g", "--start-mhz", "0",
                         "--stop-mhz", "8", "--points", "1"]) == 2
         assert "points" in capsys.readouterr().err
+        # refused before a grid of that size is allocated
+        assert run_cli(["sweep", "--axis", "g", "--start-mhz", "0",
+                        "--stop-mhz", "8", "--points", "14339320097"]) == 2
+        assert "sweep.points must be <= 100000" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.json"
@@ -197,6 +212,10 @@ class TestSweepGoldens:
                           "--g-mhz", "4.59"]),
         ("sensitivity_ep3.csv", ["--start-mhz", "0.0025", "--stop-mhz", "0.05",
                                  "--points", "20", "--quantity", "sensitivity"]),
+        # near the degeneracy: every row is the point's own central branch
+        ("dip_g347.csv", ["--start-mhz", "-0.5", "--stop-mhz", "0.5",
+                          "--points", "101", "--quantity", "dip",
+                          "--g-mhz", "3.47"]),
     ])
     def test_matches_golden(self, tmp_path, name, args):
         out = tmp_path / name
@@ -496,12 +515,18 @@ COMMANDS = {
 }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _rows(text: str) -> tuple[str, np.ndarray]:
     """The first column's name and the rows of a CSV table or of a JSON
-    list of row objects."""
+    list of row objects, parsed as strict JSON (no NaN or Infinity
+    tokens); a null value becomes NaN."""
     if text.startswith("["):
-        rows = json.loads(text)
-        return next(iter(rows[0])), np.array([list(r.values()) for r in rows])
+        rows = json.loads(text, parse_constant=_reject_constant)
+        return next(iter(rows[0])), np.array(
+            [list(r.values()) for r in rows], dtype=float)
     lines = text.splitlines()
     return lines[0].split(",")[0], np.array(
         [[float(v) for v in line.split(",")] for line in lines[1:]])

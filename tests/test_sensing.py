@@ -14,10 +14,10 @@ from trimag.spectrum import FloorClampError, default_grid
 from trimag.sensing import (
     RAMP_STEPS,
     BranchTrackingError,
+    TRUST_RADIUS,
     Perturbation,
     SensitivityChain,
     SensitivityReport,
-    _select_central,
     central_branch,
     cube_root_response,
     detectable_b_min,
@@ -40,11 +40,25 @@ def ep3_sym(gamma=GAMMA):
     return locate_ep3(gamma)
 
 
+def select_central(roots, previous, gamma, fresh):
+    """The root that continues the central branch from previous: within
+    the trust radius, nearest previous, or on a fresh start nearest the
+    real axis."""
+    in_radius = [r for r in roots if abs(r - previous) <= TRUST_RADIUS * gamma]
+    if not in_radius:
+        raise BranchTrackingError("branch left the trust radius")
+    if fresh:
+        return min(in_radius, key=lambda r: (abs(r.imag), -abs(r.real)))
+    return min(in_radius, key=lambda r: abs(r - previous))
+
+
 def scalar_ramp_branch(sym, delta_b, steps=RAMP_STEPS):
-    """Reference: one scalar closed-form solve per ramp step.
+    """Reference: one scalar closed-form solve per ramp step, tracked one
+    step at a time.
 
     The continuation as it was before the batched kernel, with the
-    perturbed cubic written out independently of the package.
+    perturbed cubic and the branch rule written out independently of the
+    package.
     """
     if delta_b == 0.0:
         return 0j
@@ -56,7 +70,7 @@ def scalar_ramp_branch(sym, delta_b, steps=RAMP_STEPS):
         q_w = complex(-g2 * b, 0.0)
         coeffs = CubicCoeffs(c0=q_w - b * p_w / 3.0 + 2.0 * b ** 3 / 27.0,
                              c1=p_w - b * b / 3.0)
-        x = _select_central(tuple(cardano_roots(coeffs)), x, gam, fresh)
+        x = select_central(tuple(cardano_roots(coeffs)), x, gam, fresh)
         fresh = False
     return x
 
@@ -157,9 +171,9 @@ class TestExactEigenshift:
     def test_ambiguous_seed_takes_the_ramp(self, monkeypatch):
         # just above the degeneracy the linear law is no guide at 0.01 MHz
         ramps = []
-        track = sensing._track
-        monkeypatch.setattr(sensing, "_track",
-                            lambda *args: ramps.append(args) or track(*args))
+        ramp = sensing._ramp
+        monkeypatch.setattr(sensing, "_ramp",
+                            lambda *args: ramps.append(args) or ramp(*args))
         near = SymmetricParams.manifold_point(GAMMA, mhz(3.47))
         assert central_branch(near, mhz(0.01)) == scalar_ramp_branch(
             near, mhz(0.01))
@@ -182,16 +196,25 @@ class TestExactEigenshift:
             assert abs(abs(shift) - law) <= 0.05 * law
 
     @settings(max_examples=200, deadline=None)
-    @given(g_mhz=st.sampled_from([None, 3.6, 4.59, 6.0, 8.0]),
-           ends=st.lists(DELTA_B_MHZ, min_size=2, max_size=2,
-                         unique=True).map(sorted),
-           points=st.integers(1, 40))
-    def test_sweep_equals_single_calls_on_any_grid(self, g_mhz, ends, points):
-        sym = (ep3_sym() if g_mhz is None
-               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
-        bs = mhz(np.linspace(*ends, points))
-        singles = [exact_eigenshift(sym, Perturbation(b)) for b in bs]
+    @given(g=st.one_of(st.none(), st.floats(3.0, 8.0).map(mhz)),
+           grid=st.lists(DELTA_B_MHZ, min_size=1, max_size=40).map(sorted),
+           mirrored=st.booleans())
+    @example(g=mhz(3.47), grid=np.linspace(0.0, 0.5, 51).tolist(),
+             mirrored=True)
+    def test_sweep_equals_single_calls_on_any_grid(self, g, grid, mirrored):
+        # each shift is central_branch at its own point, whatever grid it
+        # sits on; on a mirrored grid the column is odd to a few ulps, as
+        # the cubic's roots at -delta_b are the negated conjugates of those
+        # at delta_b
+        sym = ep3_sym() if g is None else SymmetricParams.manifold_point(GAMMA, g)
+        bs = mhz(np.array(grid))
+        if mirrored:
+            bs = np.concatenate([-bs[::-1], bs])
+        singles = np.array([to_mhz(central_branch(sym, b).real) for b in bs])
         assert np.array_equal(eigenshift_sweep(sym, bs), singles)
+        if mirrored:
+            assert np.all(np.abs(singles + singles[::-1])
+                          <= 4 * np.spacing(np.abs(singles)))
 
     @pytest.mark.parametrize("grid", [[0.3], [1.4e-4, 0.104], [-0.28, -1e-6]],
                              ids=["one_point", "step_more_than_doubles",

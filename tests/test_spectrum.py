@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trimag.core import locate_ep3
@@ -40,6 +40,7 @@ from oracles import (
     cpa_spectrum_closed_form,
     m_symmetric_form,
     mn_functions,
+    spectrum_dip_per_point,
     total_output_expanded,
     total_output_reference,
     trace_to_csv_per_row,
@@ -363,7 +364,7 @@ class TestFindDip:
 
     def test_perturbed_dip_tracks_shifted_eigenvalue(self):
         # walked from the unperturbed zero to the one zero of the spectrum
-        dip = spectrum_dip(ep3_sym(), K1, K2, mhz(0.025), 0.0, -91.5)
+        [dip] = spectrum_dip(ep3_sym(), K1, K2, [mhz(0.025)], [0.0], -91.5)
         assert dip.dip_location == pytest.approx(0.67, abs=0.02)
         assert dip.dip_value_db == pytest.approx(-62.935, abs=0.01)
 
@@ -372,37 +373,45 @@ class TestFindDip:
         # above the degeneracy the spectrum has zeros at 0 and +-s
         sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
         s = math.sqrt(3 * 4.59 ** 2 - 4 * 3.0 ** 2)
-        dip = spectrum_dip(sym, K1, K2, 0.0, zero * (s - 0.3), -120.0)
+        [dip] = spectrum_dip(sym, K1, K2, [0.0], [zero * (s - 0.3)], -120.0)
         assert dip.dip_location == pytest.approx(zero * s, abs=1e-5)
 
     @pytest.mark.parametrize("g_mhz,delta_b_mhz,predicted_mhz", [
-        (None, 0.025, 0.0), (4.59, 0.0, 4.9)], ids=["ep3", "g459"])
+        (None, [0.01, 0.025, 0.04], [0.0, 0.0, 0.9]),
+        (4.59, [0.0, 0.0, 0.01], [4.9, -4.9, 0.0])], ids=["ep3", "g459"])
     def test_refine_makes_24_evaluations(self, monkeypatch, g_mhz,
                                          delta_b_mhz, predicted_mhz):
         # golden section from a two-step bracket of the default grid down
-        # to DIP_WIDTH_MHZ: 2 + 21 narrowing steps + the midpoint; the
-        # window's trace builds its own evaluator and probes with arrays
-        probes = []
+        # to DIP_WIDTH_MHZ: 2 + 21 narrowing steps + the midpoint, on each
+        # row's own evaluator; the walk's evaluator takes arrays only
+        refines = []
         build = spectrum.output_power
 
         def counted(params, drive):
             power = build(params, drive)
+            probes = []
+            refines.append(probes)
 
-            def evaluate(omega):
-                probes.append(omega)
-                return power(omega)
+            def evaluate(omega, *detunings):
+                if not isinstance(omega, np.ndarray):
+                    probes.append(omega)
+                return power(omega, *detunings)
             return evaluate
 
         monkeypatch.setattr(spectrum, "output_power", counted)
         sym = (ep3_sym() if g_mhz is None
                else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
-        dip = spectrum_dip(sym, K1, K2, mhz(delta_b_mhz), predicted_mhz, -120.0)
-        refine = [om for om in probes if not isinstance(om, np.ndarray)]
-        assert len(refine) == 24
-        assert all(type(om) is float for om in refine)
-        assert dip.refinement_width <= DIP_WIDTH_MHZ
+        dips = spectrum_dip(sym, K1, K2, mhz(np.array(delta_b_mhz)),
+                            predicted_mhz, -120.0)
+        refines = [probes for probes in refines if probes]
+        assert len(refines) == len(dips) == len(delta_b_mhz)
         step = DIP_GRID[1] - DIP_GRID[0]
-        assert all(abs(to_mhz(om) - dip.dip_location) <= step for om in refine)
+        for probes, dip in zip(refines, dips):
+            assert len(probes) == 24
+            assert all(type(om) is float for om in probes)
+            assert dip.refinement_width <= DIP_WIDTH_MHZ
+            assert all(abs(to_mhz(om) - dip.dip_location) <= step
+                       for om in probes)
 
     def test_flat_trace_reported(self):
         grid = np.linspace(0, 1, 11)
@@ -417,6 +426,72 @@ class TestFindDip:
         x, _, width = golden_section_min(lambda x: (x - 0.25) ** 2, -1, 1, 1e-8)
         assert width <= 1e-8
         assert x == pytest.approx(0.25, abs=1e-8)
+
+
+@st.composite
+def dip_rows(draw):
+    """A sorted delta_b grid of 1 to 40 points in MHz, both signs, tiny
+    ones included (their dips sit on the floor), and a predicted location
+    per row: near the row's dip, or anywhere on the grid and beyond its
+    ends, so that the walk moves many windows."""
+    delta_b = sorted(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-9, 0.5), st.floats(-0.5, -1e-9)),
+        min_size=1, max_size=40)))
+    predicted = draw(st.lists(
+        st.one_of(st.floats(-1.0, 1.0), st.floats(-11.0, 11.0)),
+        min_size=len(delta_b), max_size=len(delta_b)))
+    return delta_b, predicted
+
+
+def dips_or_error(find):
+    """find()'s dips, or the type of the error it raised."""
+    try:
+        return find()
+    except (FlatTraceError, ScatteringPoleError) as exc:
+        return type(exc)
+
+
+class TestSpectrumDip:
+    """The lock-step walk over a delta_b column against the walk of each
+    row on its own."""
+
+    @staticmethod
+    def both(g_mhz, kappas_mhz, rows, floor_db):
+        sym = (ep3_sym() if g_mhz is None
+               else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
+        k1, k2 = mhz(kappas_mhz[0]), mhz(kappas_mhz[1])
+        delta_b, predicted = rows
+        lock_step = dips_or_error(lambda: spectrum_dip(
+            sym, k1, k2, mhz(np.array(delta_b)), predicted, floor_db))
+        per_point = dips_or_error(lambda: [
+            spectrum_dip_per_point(sym, k1, k2, mhz(b), p, floor_db)
+            for b, p in zip(delta_b, predicted)])
+        return lock_step, per_point
+
+    @settings(max_examples=100, deadline=None)
+    @given(g_mhz=st.one_of(st.none(), st.floats(3.0, 8.0)),
+           kappas_mhz=st.tuples(st.floats(3.0, 10.0), st.floats(3.0, 10.0)),
+           rows=dip_rows(), floor_db=st.sampled_from([-91.5, -120.0]))
+    def test_equals_the_per_point_walk(self, g_mhz, kappas_mhz, rows,
+                                       floor_db):
+        assume(kappas_mhz[0] != kappas_mhz[1])
+        lock_step, per_point = self.both(g_mhz, kappas_mhz, rows, floor_db)
+        assert isinstance(lock_step, list)
+        assert lock_step == per_point
+
+    @settings(max_examples=50, deadline=None)
+    @given(g_mhz=st.one_of(st.none(), st.floats(3.0, 8.0)),
+           kappas_mhz=st.tuples(st.floats(3.0, 10.0), st.floats(3.0, 10.0)),
+           rows=dip_rows(), pole_tol=st.floats(1.1, 1.6))
+    def test_pole_windows_fall_back_to_the_per_point_trace(
+            self, g_mhz, kappas_mhz, rows, pole_tol):
+        # so high a tolerance flags ordinary points as poles: the windows
+        # holding them are sampled point by point, with scalar bits
+        assume(kappas_mhz[0] != kappas_mhz[1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "POLE_TOL", pole_tol)
+            lock_step, per_point = self.both(g_mhz, kappas_mhz, rows, -120.0)
+        assert lock_step == per_point
 
 
 class TestCsvExport:
