@@ -55,6 +55,10 @@ AXES = ("g", "delta", "delta_b")
 #: allocated
 MAX_SWEEP_POINTS = 100_000
 
+#: most probe points a spectrum takes; a larger --points is refused before
+#: its grid is allocated
+MAX_PROBE_POINTS = 2_000_001
+
 
 def _defaults() -> dict:
     """The sweep configuration that --config files and flags override.
@@ -302,8 +306,12 @@ def cmd_sweep(args) -> int:
 
 
 def _probe_grid(args) -> np.ndarray:
-    """The --span-mhz/--points grid: strictly increasing, and every probe
-    offset's square in rad/us finite, as the response functions need."""
+    """The --span-mhz/--points grid: at most MAX_PROBE_POINTS points,
+    strictly increasing, and every probe offset's square in rad/us finite,
+    as the response functions need."""
+    if args.points > MAX_PROBE_POINTS:
+        raise ValidationError(f"--points must be <= {MAX_PROBE_POINTS}, "
+                              f"got {args.points}")
     span = args.span_mhz
     if not (span > 0 and math.isfinite(mhz(span) * mhz(span))):
         raise ValidationError(f"--span-mhz must be > 0 with a finite square "

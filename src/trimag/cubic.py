@@ -23,9 +23,6 @@ _W = complex(-0.5, math.sqrt(3.0) / 2.0)
 # the six orderings of three roots, one per row
 _PERMUTATIONS = np.array(list(itertools.permutations(range(3))))
 
-#: residual bound for a polished root, scaled by the coefficient magnitude
-RESIDUAL_TOL = 1e-9
-
 #: guarded Newton steps per root, in cardano_roots and cardano_roots_batch
 POLISH_STEPS = 4
 
@@ -85,9 +82,9 @@ def cardano_roots(coeffs: CubicCoeffs) -> ComplexTriple:
     Writing x = u + v with 3*u*v = -c1, u**3 and v**3 are the roots of a
     quadratic; the larger-magnitude radical is taken through the principal
     cube root and its partner through v = -c1/(3u), which fixes the branch
-    pairing unambiguously.  Each root is Newton-polished afterwards so the
-    residual |x^3 + c1 x + c0| stays below RESIDUAL_TOL * scale**3, with
-    scale = max(1, |c0|**(1/3), |c1|**(1/2)) the natural root magnitude.
+    pairing unambiguously.  Each root is Newton-polished afterwards to
+    shrink the residual |x^3 + c1 x + c0| on the scale of the natural root
+    magnitude max(1, |c0|**(1/3), |c1|**(1/2)).
     All arithmetic runs on Python complex numbers, whatever the type of
     the coefficients.
     """
@@ -101,9 +98,10 @@ def cardano_roots(coeffs: CubicCoeffs) -> ComplexTriple:
     z_minus = -c0 / 2.0 - disc
     z = z_plus if abs(z_plus) >= abs(z_minus) else z_minus
     if z == 0:
-        # both radicals vanish with c1 != 0 only when c1**3/27 underflows
-        # (and c0/2 with it): solve for y = x/2**k with |c1/4**k| ~ 1
-        k = math.frexp(abs(c1))[1] // 2
+        # both radicals vanish only when c1**3/27 and c0/2 underflow: solve
+        # for y = x/2**k, with k the larger of the exponents that bring
+        # |c1/4**k| or |c0/8**k| near 1
+        k = max(math.frexp(abs(c))[1] // n for c, n in ((c1, 2), (c0, 3)) if c)
         scaled = cardano_roots(CubicCoeffs(_ldexp(c0, -3 * k),
                                            _ldexp(c1, -2 * k)))
         return ComplexTriple(*(_ldexp(y, k) for y in scaled))
@@ -201,8 +199,8 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
     Row j holds the bits of ``cardano_roots(CubicCoeffs(c0[j], c1[j]))``,
     in the same order, wherever that closed form stays finite: the same
     operations in the same order, on arrays.  Rows with c0 = c1 = 0 are
-    zeros; rows whose radicals both vanish although c1 != 0 are rescaled by
-    a power of two, as in cardano_roots.
+    zeros; rows whose radicals both vanish otherwise are rescaled by a power
+    of two, as in cardano_roots.
     """
     c0 = np.asarray(c0, dtype=complex).reshape(-1)
     c1 = np.asarray(c1, dtype=complex).reshape(-1)
@@ -257,7 +255,9 @@ def cardano_roots_batch(c0, c1) -> np.ndarray:
     out[zero] = 0.0
     rescale = vanish & ~zero
     if rescale.any():
-        k = np.frexp(np.hypot(c1[rescale].real, c1[rescale].imag))[1] // 2
+        k = np.maximum(*(np.where(c == 0, np.iinfo(np.int32).min,
+                                  np.frexp(np.hypot(c.real, c.imag))[1] // n)
+                         for c, n in ((c1[rescale], 2), (c0[rescale], 3))))
         scaled = cardano_roots_batch(_ldexp_parts(c0[rescale], -3 * k),
                                      _ldexp_parts(c1[rescale], -2 * k))
         out[rescale] = _ldexp_parts(scaled, k[:, None])

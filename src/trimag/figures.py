@@ -24,7 +24,7 @@ from .params import (
     mhz,
     to_mhz,
 )
-from .sensing import SensitivityChain, eigenshift_sweep, fit_loglog_slope
+from .sensing import SensitivityChain, exact_eigenshift, fit_loglog_slope
 from .spectrum import EXPERIMENTAL_FLOOR_DB, csv_text
 
 #: perturbation window of the fig3c response datasets and fits, MHz
@@ -186,7 +186,7 @@ def response_sweep(g_mhz: float) -> np.ndarray:
     across RESPONSE_WINDOW_MHZ."""
     sym = SymmetricParams.manifold_point(mhz(GAMMA_MHZ), mhz(g_mhz))
     bs = np.geomspace(*RESPONSE_WINDOW_MHZ, 50)
-    return np.column_stack([bs, np.abs(eigenshift_sweep(sym, mhz(bs)))])
+    return np.column_stack([bs, np.abs(exact_eigenshift(sym, mhz(bs)))])
 
 
 def generate_fig3c(outdir: Path) -> list[Path]:

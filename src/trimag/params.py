@@ -69,11 +69,6 @@ class SystemParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
-    @property
-    def kappa_c(self) -> float:
-        """Effective cavity gain under two-port coherent absorption drive."""
-        return self.kappa1 + self.kappa2 - self.kappa_int
-
 
 @dataclass(frozen=True)
 class SymmetricParams:

@@ -29,7 +29,6 @@ import numpy as np
 from .core import locate_ep3
 from .cubic import CubicCoeffs, cardano_roots, cardano_roots_batch
 from .params import (
-    DEFAULT_TOL,
     GAMMA_MHZ,
     KAPPA1_MHZ,
     KAPPA2_MHZ,
@@ -66,17 +65,6 @@ RESOLVABLE_DB = 1e-13     # smallest resolvable spectrum change, dB
 
 class BranchTrackingError(RuntimeError):
     """No eigenvalue branch within the continuation trust radius."""
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Rigid magnon frequency shift delta_b (rad/us) from a field change."""
-
-    delta_b: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta_b):
-            raise ValidationError("delta_b must be finite")
 
 
 def _cube(b):
@@ -195,26 +183,18 @@ def central_branch(sym: SymmetricParams, delta_b):
     return out if np.ndim(delta_b) else complex(out[0])
 
 
-def exact_eigenshift(sym: SymmetricParams, pert: Perturbation) -> float:
-    """Shift of the central eigenvalue (MHz) under a rigid perturbation.
+def exact_eigenshift(sym: SymmetricParams, delta_b):
+    """Shift of the central eigenvalue (MHz) under a rigid perturbation
+    delta_b (rad/us): a float for a float, an array for a 1-d column.
 
-    Solves the perturbed characteristic cubic exactly through the closed
-    form, tracks the branch continued from the unperturbed central
-    eigenvalue at zero, and returns the real (frequency) part of its
-    trace-centered shift in MHz.
+    Each shift is the real (frequency) part of central_branch at its own
+    point, from the exact cubic's closed form, so a column does not depend
+    on the grid it sits on.  A non-finite delta_b is a ValidationError.
     """
     sym.require_manifold()
-    return to_mhz(central_branch(sym, pert.delta_b).real)
-
-
-def eigenshift_sweep(sym: SymmetricParams, delta_bs) -> np.ndarray:
-    """Central-branch shifts (MHz) along a delta_b axis (rad/us).
-
-    Each shift is central_branch at its own point, so the column does not
-    depend on the grid it sits on.
-    """
-    sym.require_manifold()
-    return to_mhz(central_branch(sym, np.atleast_1d(delta_bs)).real)
+    if not all(map(math.isfinite, np.ravel(delta_b).tolist())):
+        raise ValidationError("delta_b must be finite")
+    return to_mhz(central_branch(sym, delta_b).real)
 
 
 def cube_root_response(g_ep3: float, delta_b: float) -> float:
@@ -264,8 +244,9 @@ def g_cpa_factor(dip_unperturbed_db: float, dip_perturbed_db: float,
     return (dip_perturbed_db - dip_unperturbed_db) / delta_omega_mhz
 
 
-def synthetic_sensitivity(g_cpa: float, g_ep3: float) -> float:
-    """Product of the contrast and degeneracy factors, dB per MHz."""
+def synthetic_sensitivity(g_cpa, g_ep3):
+    """Product of the contrast and degeneracy factors, dB per MHz; floats
+    or columns."""
     return g_cpa * g_ep3
 
 
@@ -357,7 +338,7 @@ class SensitivityChain:
     """The sensing chain over an axis of field changes delta_b (MHz).
 
     delta_b -> trace-centred shift of the central branch (one
-    eigenshift_sweep: central_branch at each point) -> refined dip of the
+    exact_eigenshift: central_branch at each point) -> refined dip of the
     perturbed absorption spectrum nearest the zero that shift predicts
     (one spectrum_dip walking every point's window in lock step) ->
     g_ep3, g_cpa, g_syn -> the detectable field change.  Each column is
@@ -387,7 +368,7 @@ class SensitivityChain:
     @cached_property
     def delta_omega(self) -> np.ndarray:
         """Trace-centred shift of the central eigenvalue, MHz."""
-        return eigenshift_sweep(self.sym, mhz(self.delta_b))
+        return exact_eigenshift(self.sym, mhz(self.delta_b))
 
     @cached_property
     def dips(self) -> list[DipReport]:
@@ -410,9 +391,10 @@ class SensitivityChain:
 
     @cached_property
     def g_ep3(self) -> np.ndarray:
-        """Degeneracy factor; it and g_syn exist only at the degeneracy."""
-        g_ep3 = locate_ep3(self.sym.gamma).g
-        if abs(self.sym.g - g_ep3) > DEFAULT_TOL * g_ep3:
+        """Degeneracy factor; it and g_syn exist only at the degeneracy
+        (_at_degeneracy, the rule that seeds the shift)."""
+        if not _at_degeneracy(self.sym):
+            g_ep3 = locate_ep3(self.sym.gamma).g
             raise ValidationError(
                 f"sensitivity factors need the third-order degeneracy, "
                 f"g = {to_mhz(g_ep3):.8g} MHz at gamma = "
@@ -441,8 +423,9 @@ class SensitivityChain:
 
     @cached_property
     def g_syn(self) -> np.ndarray:
-        return np.array([synthetic_sensitivity(gcpa, gep3)
-                         for gep3, gcpa in zip(self.g_ep3, self.g_cpa)])
+        # g_ep3 first: off the degeneracy that is the error to report
+        g_ep3 = self.g_ep3
+        return synthetic_sensitivity(self.g_cpa, g_ep3)
 
     def delta_b_min(self) -> np.ndarray:
         """Smallest detectable field change (tesla) at each point, for a

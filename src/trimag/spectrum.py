@@ -84,8 +84,8 @@ def output_power(params: SystemParams, drive: DriveParams):
     magnon's damping squares to 0) or where |m + i n| vanishes.  Python
     floats and np.float64 round + - * / alike, so a float probe runs the
     real arithmetic on Python floats; the denominator is then an
-    np.complex128, so the divisions, np.abs and ** 2 run on numpy scalars,
-    and a float probe gives the bits its np.float64 gives.
+    np.complex128, so the divisions and np.abs run on numpy scalars, and a
+    scalar probe gives the bits of the same probe in an array.
 
     power(omega, delta1, delta2) evaluates the system with other magnon
     detunings: columns of them evaluate a stack of systems that differ
@@ -129,7 +129,13 @@ def output_power(params: SystemParams, drive: DriveParams):
         t = transmission / den
         s1 = (-1.0 - reflection1 / den) * x + t
         s2 = (-1.0 - reflection2 / den) + t * x
-        return np.abs(s1) ** 2 + np.abs(s2) ** 2
+        # squared in place by products: a numpy scalar's ** 2 goes through
+        # pow, which can round differently from an array's x * x
+        power1, power2 = np.abs(s1), np.abs(s2)
+        power1 *= power1
+        power2 *= power2
+        power1 += power2
+        return power1
 
     return power
 
@@ -363,38 +369,43 @@ def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
     above its prediction and evaluates a window of DIP_WINDOW points on
     either side.  While a window's minimum sits on an inner edge the
     window moves there, so the search ends on the grid's local minimum
-    downhill of the prediction; find_dip then refines it with that row's
-    own evaluator.  The rows walk in lock step: each step evaluates the
-    windows of the rows still moving in one array call, with each value's
-    bits as the row's own 9-point trace gives them.  A step whose windows
-    hold a scattering pole samples each window through
-    total_output_spectrum instead, which evaluates a pole's window point by
-    point and flags the poles.
+    downhill of the prediction; find_dip then refines it.  The rows differ
+    only in their magnon detunings, so one output_power evaluator, row 0's,
+    walks and refines them all, passed each row's detunings.  The rows
+    walk in lock step: each step evaluates the windows of the rows still
+    moving in one array call, with each value's bits as the row's own
+    9-point trace gives them.  A step whose windows hold a scattering pole
+    samples each window through total_output_spectrum on the row's own
+    system instead, which evaluates a pole's window point by point and
+    flags the poles.
     """
-    delta_b = np.asarray(delta_b, dtype=float).reshape(-1)
-    systems = [perturbed_system(sym, kappa1, kappa2, b)
-               for b in delta_b.tolist()]
-    if not systems:
+    bs = np.asarray(delta_b, dtype=float).reshape(-1).tolist()
+    if not bs:
         return []
-    drive = cpa_drive(systems[0])
-    # the rows differ only in their detunings, so one evaluator walks them
-    stack = output_power(systems[0], drive)
-    detunings = np.array([[system.delta1, system.delta2] for system in systems])
+    system = perturbed_system(sym, kappa1, kappa2, bs[0])
+    drive = cpa_drive(system)
+    power = output_power(system, drive)
+    delta1 = [sym.delta + b for b in bs]
+    delta2 = [-sym.delta + b for b in bs]
+    if not all(map(math.isfinite, delta1 + delta2)):
+        raise ValidationError("delta1 and delta2 must be finite")
+    detunings = np.array([delta1, delta2]).T
     centre = np.minimum(np.searchsorted(DIP_GRID, predicted_mhz),
                         DIP_GRID.size - 1)
-    values = np.empty((delta_b.size, _DIP_WINDOWS.shape[1]))
+    values = np.empty((len(bs), _DIP_WINDOWS.shape[1]))
     poles = np.zeros(values.shape, dtype=bool)
-    moving = np.arange(delta_b.size)
+    moving = np.arange(len(bs))
     while True:
         i = centre[moving]
         delta = detunings[moving]
         try:
-            found = stack(_DIP_OMEGA[i], delta[:, :1], delta[:, 1:])
+            found = power(_DIP_OMEGA[i], delta[:, :1], delta[:, 1:])
         except ScatteringPoleError:
             for row, points in zip(moving.tolist(), _DIP_WINDOWS[i]):
                 lo = points[0]
                 trace = total_output_spectrum(
-                    systems[row], drive, DIP_GRID[lo:points[-1] + 1], floor_db)
+                    perturbed_system(sym, kappa1, kappa2, bs[row]), drive,
+                    DIP_GRID[lo:points[-1] + 1], floor_db)
                 values[row] = trace.values[points - lo]
                 poles[row] = trace.pole_mask[points - lo]
             found = np.where(poles[moving], math.inf, values[moving])
@@ -410,13 +421,11 @@ def spectrum_dip(sym: SymmetricParams, kappa1: float, kappa2: float,
     values_db = _db_channel(values, poles, floor_db)
     dips = []
     last = DIP_GRID.size - 1
-    for row, (system, i) in enumerate(zip(systems, centre.tolist())):
+    for row, (i, d1, d2) in enumerate(zip(centre.tolist(), delta1, delta2)):
         lo, hi = max(i - DIP_WINDOW, 0), min(i + DIP_WINDOW, last)
         cut = slice(lo - i + DIP_WINDOW, hi - i + DIP_WINDOW + 1)
         trace = SpectrumTrace(grid=DIP_GRID[lo:hi + 1], values=values[row, cut],
                               values_db=values_db[row, cut], floor_db=floor_db,
                               pole_mask=poles[row, cut])
-        # the walk's evaluator is row 0's own
-        power = output_power(system, drive) if row else stack
-        dips.append(find_dip(trace, lambda nu: float(power(mhz(nu)))))
+        dips.append(find_dip(trace, lambda nu: float(power(mhz(nu), d1, d2))))
     return dips

@@ -74,7 +74,8 @@ def total_output_reference(params: SystemParams, drive: DriveParams, omega):
     t = -2.0 * math.sqrt(params.kappa1 * params.kappa2) / den
     s1 = (-1.0 - 2.0 * params.kappa1 / den) * x + t
     s2 = (-1.0 - 2.0 * params.kappa2 / den) + t * x
-    return np.abs(s1) ** 2 + np.abs(s2) ** 2
+    a1, a2 = np.abs(s1), np.abs(s2)
+    return a1 * a1 + a2 * a2
 
 
 def symmetric_hamiltonian(sym: SymmetricParams) -> np.ndarray:
@@ -135,6 +136,11 @@ def is_pseudo_hermitian_spectrum(triple: ComplexTriple) -> bool:
     return multiset_distance(triple, conj) <= DEFAULT_TOL * scale
 
 
+def kappa_c(params: SystemParams) -> float:
+    """Effective cavity gain under two-port coherent absorption drive."""
+    return params.kappa1 + params.kappa2 - params.kappa_int
+
+
 def is_symmetric(params: SystemParams) -> bool:
     """True if the parameters realize the symmetric balanced case.
 
@@ -143,11 +149,11 @@ def is_symmetric(params: SystemParams) -> bool:
     """
     tol = DEFAULT_TOL * max(params.gamma1, params.gamma2, params.g1, params.g2,
                             abs(params.delta1), abs(params.delta2),
-                            params.kappa_c, 1e-30)
+                            kappa_c(params), 1e-30)
     return (abs(params.gamma1 - params.gamma2) <= tol
             and abs(params.g1 - params.g2) <= tol
             and abs(params.delta1 + params.delta2) <= tol
-            and abs(params.kappa_c - 2.0 * params.gamma1) <= tol)
+            and abs(kappa_c(params) - 2.0 * params.gamma1) <= tol)
 
 
 def delta_b_of_shift(sym: SymmetricParams, omega_prime: float) -> float:

@@ -13,7 +13,6 @@ from trimag.cubic import CubicCoeffs, cardano_roots
 from trimag.params import DriveParams, SymmetricParams, mhz, to_mhz
 from trimag.sensing import (
     RESOLVABLE_DB,
-    Perturbation,
     detectable_b_min,
     exact_eigenshift,
     fit_loglog_slope,
@@ -97,7 +96,7 @@ def test_criterion_02_triple_degeneracy():
 
 def test_criterion_03_eigenshift_anchor():
     sym = locate_ep3(GAMMA)
-    shift = exact_eigenshift(sym, Perturbation(mhz(0.025)))
+    shift = exact_eigenshift(sym, mhz(0.025))
     ok = abs(shift - 0.67) <= 0.01
     _report(3, ok, f"central-branch shift {shift:.4f} MHz at 0.025 MHz")
     assert ok
@@ -108,9 +107,9 @@ def test_criterion_04_slope_laws():
     at_ep3 = locate_ep3(GAMMA)
     away = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
     window = np.geomspace(1e-4, 1e-2, 50)
-    pts_ep3 = [(b, abs(exact_eigenshift(at_ep3, Perturbation(mhz(b)))))
+    pts_ep3 = [(b, abs(exact_eigenshift(at_ep3, mhz(b))))
                for b in window]
-    pts_away = [(b, abs(exact_eigenshift(away, Perturbation(mhz(b)))))
+    pts_away = [(b, abs(exact_eigenshift(away, mhz(b))))
                 for b in window]
     fit_ep3 = fit_loglog_slope(pts_ep3, (1e-4, 1e-2))
     fit_away = fit_loglog_slope(pts_away, (1e-4, 1e-2))

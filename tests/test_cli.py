@@ -231,7 +231,8 @@ class TestSweepGoldens:
         assert "numerical failure" in err and "delta_b = 1e-09 MHz" in err
         assert f"the {floor[-1] if floor else '-120'} dB floor" in err
 
-    @pytest.mark.parametrize("g_mhz", ["3.2", "4.59"])
+    # 3.46410161687 lies within 1e-9 of g_ep3 in g, outside in 3g^2 - 4gamma^2
+    @pytest.mark.parametrize("g_mhz", ["3.2", "4.59", "3.46410161687"])
     def test_sensitivity_off_the_degeneracy_exits_two(self, capsys, g_mhz):
         assert run_cli([*self.SWEEP, "--start-mhz", "0.01", "--stop-mhz",
                         "0.02", "--points", "3", "--quantity", "sensitivity",
@@ -342,8 +343,9 @@ class TestCliContract:
         (["--points", "5", "--span-mhz", "1e308"], "--span-mhz must be > 0"),
         (["--points", "5", "--span-mhz", "1e200", "--dip"],
          "--span-mhz must be > 0"),
+        (["--points", "14339320097"], "--points must be <= 2000001"),
     ], ids=["two_points_dip", "span_negative", "span_subnormal", "span_huge",
-            "span_squares_overflow"])
+            "span_squares_overflow", "points_huge"])
     def test_spectrum_grid_exits_two_before_writing(self, tmp_path, capsys,
                                                     argv, message):
         out = tmp_path / "f.csv"

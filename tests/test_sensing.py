@@ -15,13 +15,11 @@ from trimag.sensing import (
     RAMP_STEPS,
     BranchTrackingError,
     TRUST_RADIUS,
-    Perturbation,
     SensitivityChain,
     SensitivityReport,
     central_branch,
     cube_root_response,
     detectable_b_min,
-    eigenshift_sweep,
     exact_eigenshift,
     fit_loglog_slope,
     g_cpa_factor,
@@ -91,24 +89,24 @@ DELTA_B_MHZ = st.one_of(st.just(0.0), st.floats(1e-9, 0.3),
 
 class TestExactEigenshift:
     def test_unperturbed_is_zero(self):
-        assert exact_eigenshift(ep3_sym(), Perturbation(0.0)) == 0.0
+        assert exact_eigenshift(ep3_sym(), 0.0) == 0.0
 
     def test_reference_anchor(self):
-        shift = exact_eigenshift(ep3_sym(), Perturbation(mhz(0.025)))
+        shift = exact_eigenshift(ep3_sym(), mhz(0.025))
         assert shift == pytest.approx(0.67, abs=0.01)
 
     def test_agrees_with_cube_root_law(self):
         sym = ep3_sym()
         for b_mhz in np.geomspace(1e-4, 0.05, 25):
-            shift = exact_eigenshift(sym, Perturbation(mhz(b_mhz)))
+            shift = exact_eigenshift(sym, mhz(b_mhz))
             law = to_mhz(cube_root_response(sym.g, mhz(b_mhz)))
             assert abs(shift - law) / law <= 0.02
 
     def test_sign_symmetry(self):
         sym = ep3_sym()
         for b_mhz in (1e-4, 1e-3, 0.03):
-            plus = exact_eigenshift(sym, Perturbation(mhz(b_mhz)))
-            minus = exact_eigenshift(sym, Perturbation(-mhz(b_mhz)))
+            plus = exact_eigenshift(sym, mhz(b_mhz))
+            minus = exact_eigenshift(sym, -mhz(b_mhz))
             assert abs(abs(minus) - abs(plus)) / abs(plus) <= 0.02
             assert plus > 0 > minus
 
@@ -116,7 +114,7 @@ class TestExactEigenshift:
         # fine monotone sweep up to 0.05*gamma: no branch jumps
         sym = ep3_sym()
         bs = mhz(np.linspace(1e-4, 0.05 * 3.0, 300))
-        shifts = eigenshift_sweep(sym, bs)
+        shifts = exact_eigenshift(sym, bs)
         diffs = np.diff(shifts)
         assert np.all(diffs > 0)
         # increments shrink like the cube-root law, never jump branch-scale
@@ -128,8 +126,8 @@ class TestExactEigenshift:
         sym = (ep3_sym() if g_mhz is None
                else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
         bs = mhz(FIGURE_GRIDS[grid])
-        swept = eigenshift_sweep(sym, bs)
-        singles = [exact_eigenshift(sym, Perturbation(b)) for b in bs]
+        swept = exact_eigenshift(sym, bs)
+        singles = [exact_eigenshift(sym, b) for b in bs]
         assert np.array_equal(swept, singles)
 
     @settings(max_examples=300, deadline=None)
@@ -210,8 +208,8 @@ class TestExactEigenshift:
         bs = mhz(np.array(grid))
         if mirrored:
             bs = np.concatenate([-bs[::-1], bs])
-        singles = np.array([to_mhz(central_branch(sym, b).real) for b in bs])
-        assert np.array_equal(eigenshift_sweep(sym, bs), singles)
+        singles = np.array([exact_eigenshift(sym, b) for b in bs])
+        assert np.array_equal(exact_eigenshift(sym, bs), singles)
         if mirrored:
             assert np.all(np.abs(singles + singles[::-1])
                           <= 4 * np.spacing(np.abs(singles)))
@@ -222,12 +220,12 @@ class TestExactEigenshift:
     def test_sweep_reseeds_where_continuation_would_jump(self, grid):
         # continued along the axis, each lands on another branch
         bs = mhz(np.array(grid))
-        singles = [exact_eigenshift(ep3_sym(), Perturbation(b)) for b in bs]
-        assert np.array_equal(eigenshift_sweep(ep3_sym(), bs), singles)
+        singles = [exact_eigenshift(ep3_sym(), b) for b in bs]
+        assert np.array_equal(exact_eigenshift(ep3_sym(), bs), singles)
 
     def test_linear_scaling_away_from_degeneracy(self):
         sym = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
-        shifts = [exact_eigenshift(sym, Perturbation(mhz(b)))
+        shifts = [exact_eigenshift(sym, mhz(b))
                   for b in (1e-4, 1e-3, 1e-2)]
         # slope one: tenfold perturbation, tenfold shift
         assert shifts[1] / shifts[0] == pytest.approx(10.0, rel=1e-3)
@@ -236,7 +234,14 @@ class TestExactEigenshift:
     def test_off_manifold_rejected(self):
         sym = SymmetricParams(gamma=GAMMA, g=mhz(4.0), delta=mhz(3.0))
         with pytest.raises(ValidationError):
-            exact_eigenshift(sym, Perturbation(mhz(0.01)))
+            exact_eigenshift(sym, mhz(0.01))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("column", [False, True], ids=["float", "column"])
+    def test_non_finite_delta_b_rejected(self, bad, column):
+        delta_b = np.array([mhz(0.01), bad, mhz(0.02)]) if column else bad
+        with pytest.raises(ValidationError, match="delta_b must be finite"):
+            exact_eigenshift(ep3_sym(), delta_b)
 
 
 class TestDeltaBOfShift:
@@ -265,7 +270,7 @@ class TestDeltaBOfShift:
         sym = ep3_sym()
         rel_errors = []
         for b_mhz in (1e-2, 1e-3, 1e-4, 1e-5):
-            shift = exact_eigenshift(sym, Perturbation(mhz(b_mhz)))
+            shift = exact_eigenshift(sym, mhz(b_mhz))
             recovered = to_mhz(delta_b_of_shift(sym, mhz(shift)))
             rel_errors.append(abs(recovered - b_mhz) / b_mhz)
         assert all(a > b for a, b in zip(rel_errors, rel_errors[1:]))
@@ -372,13 +377,13 @@ class TestSlopeFit:
 
     def test_exact_eigenshift_slopes(self):
         sym = ep3_sym()
-        pts = [(b, exact_eigenshift(sym, Perturbation(mhz(b))))
+        pts = [(b, exact_eigenshift(sym, mhz(b)))
                for b in np.geomspace(1e-4, 1e-2, 50)]
         fit = fit_loglog_slope(pts, (1e-4, 1e-2))
         assert fit.slope == pytest.approx(1.0 / 3.0, abs=0.02)
 
         away = SymmetricParams.manifold_point(GAMMA, mhz(4.59))
-        pts = [(b, abs(exact_eigenshift(away, Perturbation(mhz(b)))))
+        pts = [(b, abs(exact_eigenshift(away, mhz(b))))
                for b in np.geomspace(1e-4, 1e-2, 50)]
         fit = fit_loglog_slope(pts, (1e-4, 1e-2))
         assert fit.slope == pytest.approx(1.0, abs=0.02)
@@ -422,6 +427,15 @@ class TestSensitivityChain:
         chain = ep3_chain([-0.02, 0.02], sym=sym)
         assert chain.delta_omega[0] == -chain.delta_omega[1] > 0
         assert len(chain.dips) == 2
+        with pytest.raises(ValidationError, match="g = 3.4641016 MHz"):
+            chain.g_syn
+
+    def test_factors_need_the_rule_that_seeds_the_shift(self):
+        # within 1e-9 of g_ep3 in g, but |3g^2 - 4gamma^2| = 4e-9*gamma^2:
+        # the shift is seeded with the linear law, so no cube-root factors
+        sym = SymmetricParams.manifold_point(GAMMA, ep3_sym().g * (1 + 5e-10))
+        assert not sensing._at_degeneracy(sym)
+        chain = ep3_chain([0.025], sym=sym)
         with pytest.raises(ValidationError, match="g = 3.4641016 MHz"):
             chain.g_syn
 

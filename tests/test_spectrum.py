@@ -155,18 +155,24 @@ def _rate(draw):
 
 
 @st.composite
+def perturbed_manifold_systems(draw):
+    """A perturbed manifold system under its absorption drive."""
+    gamma = draw(st.floats(0.5, 6.0))
+    sym = SymmetricParams.manifold_point(
+        mhz(gamma), mhz(draw(st.floats(gamma, gamma + 6.0))))
+    k1 = draw(st.floats(0.1, 8.0))
+    k2 = draw(st.floats(max(0.1, 2.0 * gamma - k1) + 0.1, 16.0))
+    params = perturbed_system(sym, mhz(k1), mhz(k2),
+                              mhz(draw(st.floats(-0.05, 0.05))))
+    return params, cpa_drive(params)
+
+
+@st.composite
 def systems_and_drives(draw):
     """A perturbed manifold system under its absorption drive, or any
     system, magnon dampings and port rates possibly zero, under any drive."""
     if draw(st.booleans()):
-        gamma = draw(st.floats(0.5, 6.0))
-        sym = SymmetricParams.manifold_point(
-            mhz(gamma), mhz(draw(st.floats(gamma, gamma + 6.0))))
-        k1 = draw(st.floats(0.1, 8.0))
-        k2 = draw(st.floats(max(0.1, 2.0 * gamma - k1) + 0.1, 16.0))
-        params = perturbed_system(sym, mhz(k1), mhz(k2),
-                                  mhz(draw(st.floats(-0.05, 0.05))))
-        return params, cpa_drive(params)
+        return draw(perturbed_manifold_systems())
     params = SystemParams(
         kappa1=_rate(draw), kappa2=_rate(draw), kappa_int=_rate(draw),
         gamma1=_rate(draw), gamma2=_rate(draw), g1=_rate(draw), g2=_rate(draw),
@@ -206,6 +212,18 @@ def test_evaluator_equals_the_reference_bit_for_bit(system, data):
             lambda om: total_output_reference(params, drive, np.float64(om)),
             omega)
         assert _outcome(power, omega) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=perturbed_manifold_systems())
+def test_scalar_probe_is_its_array_row(system):
+    # the refine's float probes and the walk's array rows square alike, so
+    # every default-grid probe gives one bit pattern either way
+    params, drive = system
+    power = output_power(params, drive)
+    grid = mhz(default_grid())
+    scalars = np.array([float(power(om)) for om in grid.tolist()])
+    assert scalars.tobytes() == power(grid).tobytes()
 
 
 class TestOutputAmplitudes:
@@ -382,36 +400,42 @@ class TestFindDip:
     def test_refine_makes_24_evaluations(self, monkeypatch, g_mhz,
                                          delta_b_mhz, predicted_mhz):
         # golden section from a two-step bracket of the default grid down
-        # to DIP_WIDTH_MHZ: 2 + 21 narrowing steps + the midpoint, on each
-        # row's own evaluator; the walk's evaluator takes arrays only
-        refines = []
+        # to DIP_WIDTH_MHZ: 2 + 21 narrowing steps + the midpoint, per row;
+        # one evaluator walks (arrays only) and refines every row, so a
+        # row's scalar probes are those passed its detunings
+        evaluators = []
+        probes = {}
         build = spectrum.output_power
 
         def counted(params, drive):
             power = build(params, drive)
-            probes = []
-            refines.append(probes)
+            evaluators.append(power)
 
             def evaluate(omega, *detunings):
                 if not isinstance(omega, np.ndarray):
-                    probes.append(omega)
+                    probes.setdefault(detunings, []).append(omega)
                 return power(omega, *detunings)
             return evaluate
 
         monkeypatch.setattr(spectrum, "output_power", counted)
         sym = (ep3_sym() if g_mhz is None
                else SymmetricParams.manifold_point(GAMMA, mhz(g_mhz)))
-        dips = spectrum_dip(sym, K1, K2, mhz(np.array(delta_b_mhz)),
-                            predicted_mhz, -120.0)
-        refines = [probes for probes in refines if probes]
-        assert len(refines) == len(dips) == len(delta_b_mhz)
+        delta_b = mhz(np.array(delta_b_mhz)).tolist()
+        dips = spectrum_dip(sym, K1, K2, delta_b, predicted_mhz, -120.0)
+        assert len(evaluators) == 1 and len(dips) == len(delta_b)
         step = DIP_GRID[1] - DIP_GRID[0]
-        for probes, dip in zip(refines, dips):
-            assert len(probes) == 24
-            assert all(type(om) is float for om in probes)
-            assert dip.refinement_width <= DIP_WIDTH_MHZ
-            assert all(abs(to_mhz(om) - dip.dip_location) <= step
-                       for om in probes)
+        rows = {}
+        for b, dip in zip(delta_b, dips):
+            system = perturbed_system(sym, K1, K2, b)
+            rows.setdefault((system.delta1, system.delta2), []).append(dip)
+        assert set(probes) == set(rows)
+        for detunings, row_dips in rows.items():
+            assert len(probes[detunings]) == 24 * len(row_dips)
+            assert all(type(om) is float for om in probes[detunings])
+            assert all(dip.refinement_width <= DIP_WIDTH_MHZ for dip in row_dips)
+            assert all(min(abs(to_mhz(om) - dip.dip_location)
+                           for dip in row_dips) <= step
+                       for om in probes[detunings])
 
     def test_flat_trace_reported(self):
         grid = np.linspace(0, 1, 11)

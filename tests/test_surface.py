@@ -1,9 +1,12 @@
 """The public surface of the package has consumers.
 
-Every public function and class defined in src/trimag is used by the
-package's own code, or named in the README, or listed below with the
-reason it stays; so is every public method and property of those classes.
-Every name the package root re-exports is documented in the README.
+Every public function, class and module-level constant defined in
+src/trimag is used by the package's own code, or named in the README's
+inline code, or listed below with the reason it stays; so is every public
+method and property of those classes.  Every name the package root
+re-exports is documented in the README.  A README mention counts only as
+inline code outside fenced blocks: a name that appears only in a diagram
+or an example's output is not documented.
 """
 
 import ast
@@ -14,21 +17,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "trimag"
-README = (ROOT / "README.md").read_text()
+#: the README's inline code spans, fenced blocks left out
+README_CODE = "\n".join(re.findall(
+    r"`([^`]+)`", re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(),
+                         flags=re.M | re.S)))
 
 #: public names that only tests call, with the reason each one stays
-ALLOWED = {
-    "exact_eigenshift": "a span boundary of benchmarks/tracing.py",
-}
+ALLOWED: dict[str, str] = {}
 
 TREES = {path.name: ast.parse(path.read_text())
          for path in sorted(PACKAGE.glob("*.py"))}
 
-DEFINITIONS = {node.name: node
-               for name, tree in TREES.items() if name != "__init__.py"
-               for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_")}
+
+def _defined_names(node) -> list[str]:
+    """The names a module-level statement defines: a function's or a
+    class's, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [name.id for target in targets
+            for name in (target.elts if isinstance(target, ast.Tuple)
+                         else [target])
+            if isinstance(name, ast.Name)]
+
+
+DEFINITIONS = {name: node
+               for module, tree in TREES.items() if module != "__init__.py"
+               for node in tree.body for name in _defined_names(node)
+               if not name.startswith("_")}
 
 #: "Class.member" -> definition of each public method and property
 MEMBERS = {f"{cls.name}.{node.name}": node
@@ -43,7 +64,7 @@ def referenced(name: str) -> bool:
     but inside its own definition."""
     own = {id(node) for node in ast.walk(DEFINITIONS[name])}
     return any(
-        id(node) not in own
+        id(node) not in own and isinstance(node.ctx, ast.Load)
         and name in (getattr(node, "id", None), getattr(node, "attr", None))
         for module, tree in TREES.items() if module != "__init__.py"
         for node in ast.walk(tree)
@@ -67,7 +88,7 @@ def member_loaded(qualname: str) -> bool:
 
 
 def in_readme(name: str) -> bool:
-    return re.search(rf"\b{re.escape(name)}\b", README) is not None
+    return re.search(rf"\b{re.escape(name)}\b", README_CODE) is not None
 
 
 @pytest.mark.parametrize("name", sorted(DEFINITIONS))
