@@ -113,11 +113,16 @@ def _merge_config(path: str | None, overrides: dict) -> dict:
 
 
 def _convert(raw, name: str, kind=float):
+    error = ValidationError(f"config: {name}={raw!r} is not "
+                            f"a valid {kind.__name__}")
+    # a JSON boolean is not a number or a name, and int() would truncate 3.9
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                 and not raw.is_integer()):
+        raise error
     try:
         value = kind(raw)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config: {name}={raw!r} is not "
-                              f"a valid {kind.__name__}") from exc
+        raise error from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"config: {name} must be finite")
     return value

@@ -53,9 +53,15 @@ CSV_HEADER = "omega_mhz,s_tot_linear,s_tot_db"
 #: %-format of each CSV column of a trace
 CSV_FORMATS = ("%.12g", "%.12e", "%.12g")
 
-#: table rows that csv_text formats with one % operation; bounds the size
-#: of the tuple of Python floats that operation needs
+#: table rows that csv_text formats at a time; bounds the numpy
+#: temporaries of csvfloat's kernel, or the tuple of Python floats that
+#: % needs
 CSV_BLOCK_ROWS = 4096
+
+#: blocks with fewer rows are formatted by one % operation: the kernel's
+#: fixed numpy overhead, about 0.1 ms per column, is what % takes for some
+#: 400 values
+CSV_KERNEL_MIN_ROWS = 512
 
 
 class ScatteringPoleError(ArithmeticError):
@@ -341,15 +347,23 @@ def perturbed_system(sym: SymmetricParams, kappa1: float, kappa2: float,
 def csv_text(header: str, formats: Sequence[str], table) -> str:
     """The header line, then one line per table row, value j in formats[j].
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, with one % operation on
-    the block's values as Python floats.
+    Rows are formatted CSV_BLOCK_ROWS at a time: a block of at least
+    CSV_KERNEL_MIN_ROWS rows by csvfloat.format_rows, a smaller one with
+    one % operation on its values as Python floats.  Either way every
+    value reads as `formats[j] % value` writes it.
     """
     table = np.asarray(table, dtype=float)
     line = ",".join(formats) + "\n"
     blocks = [header + "\n"]
     for start in range(0, len(table), CSV_BLOCK_ROWS):
         block = table[start:start + CSV_BLOCK_ROWS]
-        blocks.append((line * len(block)) % tuple(block.ravel().tolist()))
+        if len(block) < CSV_KERNEL_MIN_ROWS:
+            blocks.append((line * len(block)) % tuple(block.ravel().tolist()))
+        else:
+            # imported here: a process that writes only small tables never
+            # compiles it
+            from .csvfloat import format_rows
+            blocks.append(format_rows(formats, block))
     return "".join(blocks)
 
 

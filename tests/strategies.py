@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 from trimag.spectrum import CSV_BLOCK_ROWS
 
 #: values every drawn table mixes in: the non-finite ones, signed zeros,
-#: subnormals and the largest magnitudes float64 holds
-SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
-                  1e-310, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308]
+#: subnormals and the largest magnitudes float64 holds; exact ties at 12
+#: and 13 digits; the neighbours of powers of ten; the bounds of %g's
+#: fixed notation; and a value at the scale of fig2's zero imaginary parts
+SPECIAL_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 1e-300, 1.7e308, -1.7e308,
+    1000000000005.0, 10000000000005.0, -1000000000005.0,
+    *(math.nextafter(float(f"1e{k}"), to)
+      for k in (-5, -4, 0, 11, 12, 13, 23, 300) for to in (0.0, math.inf)),
+    9.999999999995e-05, 1e-4, 999999999999.5, 1e12, -1.2345678901234e-79]
 
 #: row counts around the writer's block boundaries
 CSV_ROW_COUNTS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,

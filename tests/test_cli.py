@@ -190,8 +190,11 @@ class TestSweepCommand:
          "sweep": {"axis": "delta_b", "start_mhz": 0.01, "stop_mhz": 0.02,
                    "points": 2}},
         {"output": {"path": 5}},
+        {"system": {"gamma_mhz": True}},
+        {"sweep": {"points": 3.9}},
     ], ids=["section_not_object", "top_level_list", "floor_db_not_float",
-            "delta_mhz_not_float", "output_path_not_string"])
+            "delta_mhz_not_float", "output_path_not_string",
+            "gamma_mhz_boolean", "points_not_integral"])
     def test_malformed_config_exits_two(self, tmp_path, capsys, payload):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

@@ -16,6 +16,7 @@ from trimag.params import (
     to_mhz,
 )
 from trimag.spectrum import (
+    CSV_BLOCK_ROWS,
     CSV_HEADER,
     DEFAULT_FLOOR_DB,
     DIP_GRID,
@@ -549,6 +550,17 @@ class TestCsvExport:
         trace = SpectrumTrace(grid=grid, values=values, values_db=values_db,
                               floor_db=DEFAULT_FLOOR_DB,
                               pole_mask=np.isnan(table[:, 1]))
+        assert trace_to_csv(trace) == trace_to_csv_per_row(trace)
+
+    def test_cpa_trace_equals_the_per_row_writer(self):
+        # delta_b = 0: the CPA zeros are exact, so the trace holds a true
+        # zero and tiny values; three blocks go through the kernel
+        params = ep3_sym().to_system(K1, K2)
+        trace = total_output_spectrum(
+            params, cpa_drive(params),
+            default_grid(points=3 * CSV_BLOCK_ROWS + 1))
+        assert np.count_nonzero(trace.values == 0.0) == 1
+        assert trace.values.min(where=trace.values > 0, initial=1) < 1e-20
         assert trace_to_csv(trace) == trace_to_csv_per_row(trace)
 
 
